@@ -414,29 +414,3 @@ let trace t ~from =
   { local = !local; remote = !remote }
 
 let trace_all_remote t ~from = (trace t ~from).remote
-
-(* Reference implementation of [trace] over functional sets, the
-   pre-dense code path.  Kept for the tracer benchmark (old vs new)
-   and the equivalence property test; not used by the runtime. *)
-let trace_sets t ~from =
-  let local = ref Oid.Set.empty in
-  let remote = ref Oid.Set.empty in
-  let queue = Queue.create () in
-  let visit oid =
-    if Proc_id.equal (Oid.owner oid) t.owner then begin
-      if (not (Oid.Set.mem oid !local)) && Oid.Tbl.mem t.objs oid then begin
-        local := Oid.Set.add oid !local;
-        Queue.add oid queue
-      end
-    end
-    else remote := Oid.Set.add oid !remote
-  in
-  List.iter visit from;
-  while not (Queue.is_empty queue) do
-    let oid = Queue.pop queue in
-    match Oid.Tbl.find_opt t.objs oid with
-    | None -> ()
-    | Some obj ->
-        Array.iter (function None -> () | Some target -> visit target) obj.fields
-  done;
-  { local = !local; remote = !remote }

@@ -172,12 +172,6 @@ val trace : t -> from:Oid.t list -> trace_result
 val trace_all_remote : t -> from:Oid.t list -> Oid.Set.t
 (** [ (trace t ~from).remote ] — convenience. *)
 
-val trace_sets : t -> from:Oid.t list -> trace_result
-(** Reference implementation of {!trace} over functional [Oid.Set]s
-    (the pre-dense code path).  Semantically identical — the property
-    tests assert it — and kept only so the tracer benchmark can
-    measure the old path against the new one. *)
-
 (** {1 Dense view}
 
     Low-level access to the persistent dense index for hot loops that

@@ -61,14 +61,20 @@ module Reader = struct
 
   let unzigzag v = (v lsr 1) lxor (-(v land 1))
 
+  (* A loop over local refs, not a local recursive function: the refs
+     stay in registers and no closure is allocated per call. *)
   let varint t =
-    let rec go shift acc =
-      if shift > Sys.int_size then malformed t.pos "varint too long";
-      let b = byte t in
-      let acc = acc lor ((b land 0x7F) lsl shift) in
-      if b land 0x80 = 0 then acc else go (shift + 7) acc
-    in
-    unzigzag (go 0 0)
+    let len = String.length t.data in
+    let acc = ref 0 and shift = ref 0 and more = ref true in
+    while !more do
+      if !shift > Sys.int_size then malformed t.pos "varint too long";
+      if t.pos >= len then malformed t.pos "unexpected end of input";
+      let b = Char.code (String.unsafe_get t.data t.pos) in
+      t.pos <- t.pos + 1;
+      acc := !acc lor ((b land 0x7F) lsl !shift);
+      if b land 0x80 = 0 then more := false else shift := !shift + 7
+    done;
+    unzigzag !acc
 
   let int64 t =
     let v = ref 0L in
@@ -80,7 +86,9 @@ module Reader = struct
   let float t = Int64.float_of_bits (int64 t)
 
   let raw t n =
-    if n < 0 || t.pos + n > String.length t.data then
+    (* [n > length - pos], not [pos + n > length]: a huge [n] read
+       from the input must not overflow past the check. *)
+    if n < 0 || n > String.length t.data - t.pos then
       malformed t.pos "raw read past end of input";
     let s = String.sub t.data t.pos n in
     t.pos <- t.pos + n;

@@ -5,6 +5,7 @@ module Stats = Adgc_util.Stats
 type t = {
   rt : Runtime.t;
   codec : Adgc_serial.Codec.t;
+  direct : bool; (* codec is Net_codec: use Summary's direct wire path *)
   algo : Summarize.algo;
   inc_states : (int, Summarize.Incremental.state) Hashtbl.t option;
   store : (int, Summary.t * string) Hashtbl.t; (* proc -> summary, encoded bytes *)
@@ -18,6 +19,7 @@ let create ?codec ?(algo = Summarize.Condensed) ?(incremental = false) rt =
   {
     rt;
     codec;
+    direct = String.equal (Adgc_serial.Codec.name codec) Adgc_serial.Net_codec.name;
     algo;
     inc_states = (if incremental then Some (Hashtbl.create 16) else None);
     store = Hashtbl.create 16;
@@ -54,10 +56,19 @@ type prepared = {
 let prepare t (p : Process.t) =
   let now = Runtime.now t.rt in
   let summary = summarize t ~now p in
-  let encoded = Adgc_serial.Codec.encode t.codec (Summary.to_sval summary) in
+  (* The direct pair writes and reads the same bytes as the generic
+     Sval path, which stays the route for every other codec. *)
+  let encoded, decoded =
+    if t.direct then
+      let encoded = Summary.encode_net summary in
+      (encoded, Summary.decode_net encoded)
+    else
+      let encoded = Adgc_serial.Codec.encode t.codec (Summary.to_sval summary) in
+      (encoded, Summary.of_sval (Adgc_serial.Codec.decode t.codec encoded))
+  in
   (* Publish what survives the round-trip, not the in-memory value. *)
   let published, p_decode_failed =
-    match Summary.of_sval (Adgc_serial.Codec.decode t.codec encoded) with
+    match decoded with
     | Some s -> (s, false)
     | None -> (summary, true)
   in
@@ -81,11 +92,13 @@ let commit t pr =
         : int)
   end;
   Hashtbl.replace t.store (Proc_id.to_int p.Process.id) (published, encoded);
-  Runtime.log t.rt ~topic:"snapshot" "%a summarized: %d scions, %d stubs, %d bytes" Proc_id.pp
-    p.Process.id
-    (fst (Summary.counts published))
-    (snd (Summary.counts published))
-    (String.length encoded);
+  (* The log arguments are evaluated even when the log is off, and
+     [counts] is O(n): compute them only when the trace buffer is on. *)
+  if Adgc_util.Trace.enabled t.rt.Runtime.trace then begin
+    let scions, stubs = Summary.counts published in
+    Runtime.log t.rt ~topic:"snapshot" "%a summarized: %d scions, %d stubs, %d bytes" Proc_id.pp
+      p.Process.id scions stubs (String.length encoded)
+  end;
   List.iter (fun f -> f published) t.subscribers;
   published
 

@@ -1,7 +1,7 @@
 open Adgc_algebra
 open Adgc_rt
 
-type algo = Naive | Condensed | Condensed_sets
+type algo = Naive | Condensed
 
 (* Shared post-processing: given [stubs_from] per scion target and the
    root-trace result, assemble the summary. *)
@@ -94,6 +94,8 @@ type scratch = {
   mutable work_child : int array; (* ...and its next-child cursor *)
   mutable scc_off : int array; (* scc -> start in member_flat *)
   mutable member_flat : int array; (* members bucketed by scc id *)
+  mutable root_mark : Bytes.t; (* node -> reached from the local roots *)
+  mutable stubs_from : Oid.Set.t option array; (* scc -> StubsFrom, once computed *)
 }
 
 let scratch_key =
@@ -111,10 +113,90 @@ let scratch_key =
         work_child = [||];
         scc_off = [||];
         member_flat = [||];
+        root_mark = Bytes.empty;
+        stubs_from = [||];
       })
 
 let ensure_int_array get set n =
   if Array.length (get ()) < n then set (Array.make (Int.max 64 n) 0)
+
+(* [assemble] on dense ids: local root reachability is a byte per
+   node marked by the dense root trace, StubsFrom is computed once per
+   SCC and shared by every scion whose target lies in it, and ScionsTo
+   fills in the same pass over the scions, with a stub's slot found by
+   binary search over the stub targets in ascending order. *)
+let assemble_dense s ~now (p : Process.t) ~n ~nscc ~reach =
+  let heap = p.Process.heap in
+  let stub_arr = Array.of_list (Stub_table.entries p.Process.stubs) in
+  Array.sort
+    (fun (a : Stub_table.entry) (b : Stub_table.entry) ->
+      Oid.compare a.Stub_table.target b.Stub_table.target)
+    stub_arr;
+  let nstubs = Array.length stub_arr in
+  let stub_index target =
+    let lo = ref 0 and hi = ref nstubs in
+    while !lo < !hi do
+      let mid = (!lo + !hi) lsr 1 in
+      if Oid.compare stub_arr.(mid).Stub_table.target target < 0 then lo := mid + 1
+      else hi := mid
+    done;
+    if !lo < nstubs && Oid.equal stub_arr.(!lo).Stub_table.target target then !lo else -1
+  in
+  if Bytes.length s.root_mark < n then s.root_mark <- Bytes.make (Int.max 64 n) '\000';
+  if Array.length s.stubs_from < nscc then s.stubs_from <- Array.make (Int.max 64 nscc) None;
+  Bytes.fill s.root_mark 0 n '\000';
+  Array.fill s.stubs_from 0 nscc None;
+  let stub_root = Bytes.make nstubs '\000' in
+  Heap.trace_dense heap ~from:(Heap.roots heap)
+    ~visit_local:(fun id -> Bytes.unsafe_set s.root_mark id '\001')
+    ~visit_remote:(fun target ->
+      let i = stub_index target in
+      if i >= 0 then Bytes.unsafe_set stub_root i '\001');
+  let scions_to = Array.make nstubs Ref_key.Set.empty in
+  let scions =
+    List.map
+      (fun (e : Scion_table.entry) ->
+        let key = e.Scion_table.key in
+        let stubs_from, target_locally_reachable =
+          match Heap.dense_id heap key.Ref_key.target with
+          | None -> (Oid.Set.empty, false)
+          | Some id ->
+              let c = s.scc.(id) in
+              let stubs_from =
+                match s.stubs_from.(c) with
+                | Some set -> set
+                | None ->
+                    let set = Oid.Set.filter (fun r -> stub_index r >= 0) reach.(c) in
+                    s.stubs_from.(c) <- Some set;
+                    set
+              in
+              (stubs_from, Bytes.unsafe_get s.root_mark id = '\001')
+        in
+        Oid.Set.iter
+          (fun target ->
+            let i = stub_index target in
+            scions_to.(i) <- Ref_key.Set.add key scions_to.(i))
+          stubs_from;
+        {
+          Summary.key;
+          scion_ic = e.Scion_table.ic;
+          stubs_from;
+          target_locally_reachable;
+          last_invoked = e.Scion_table.last_invoked;
+        })
+      (Scion_table.entries p.Process.scions)
+  in
+  let stubs =
+    List.init nstubs (fun i ->
+        let e = stub_arr.(i) in
+        {
+          Summary.target = e.Stub_table.target;
+          stub_ic = e.Stub_table.ic;
+          scions_to = scions_to.(i);
+          local_reach = Bytes.unsafe_get stub_root i = '\001';
+        })
+  in
+  Summary.make ~proc:p.Process.id ~taken_at:now ~scions ~stubs
 
 let run_condensed ~now (p : Process.t) =
   let heap = p.Process.heap in
@@ -260,152 +342,12 @@ let run_condensed ~now (p : Process.t) =
     done;
     reach.(c) <- !acc
   done;
-  let { Heap.local = root_local; remote = root_remote } =
-    Heap.trace heap ~from:(Heap.roots heap)
-  in
-  let stubs_from_of_target target =
-    match Heap.dense_id heap target with
-    | Some id -> reach.(s.scc.(id))
-    | None -> Oid.Set.empty
-  in
-  assemble ~now p ~root_local ~root_remote ~stubs_from_of_target
-
-(* ------------------------------------------------------------------ *)
-(* Pre-dense condensed variant: same Tarjan + DP, but every per-node
-   attribute lives in a freshly allocated Oid.Tbl.  Kept behind
-   [Condensed_sets] as the reference the tracer benchmark and the
-   equivalence property measure the dense rewrite against. *)
-
-type tarjan_node = {
-  mutable index : int; (* -1 = unvisited *)
-  mutable lowlink : int;
-  mutable on_stack : bool;
-  mutable scc : int; (* -1 = unassigned *)
-  fields : Oid.t array; (* local successors *)
-  remote : Oid.t list; (* remote references held directly *)
-}
-
-let run_condensed_sets ~now (p : Process.t) =
-  let heap = p.Process.heap in
-  let nodes : tarjan_node Oid.Tbl.t = Oid.Tbl.create (Heap.size heap * 2) in
-  Heap.iter heap (fun obj ->
-      let local_fields = ref [] and remote = ref [] in
-      Array.iter
-        (function
-          | None -> ()
-          | Some target ->
-              if Proc_id.equal (Oid.owner target) p.Process.id then begin
-                if Heap.mem heap target then local_fields := target :: !local_fields
-              end
-              else remote := target :: !remote)
-        obj.Heap.fields;
-      Oid.Tbl.replace nodes obj.Heap.oid
-        {
-          index = -1;
-          lowlink = 0;
-          on_stack = false;
-          scc = -1;
-          fields = Array.of_list !local_fields;
-          remote = !remote;
-        });
-  let counter = ref 0 in
-  let scc_count = ref 0 in
-  let stack : Oid.t Stack.t = Stack.create () in
-  let sccs_members : Oid.t list array ref = ref (Array.make 16 []) in
-  let push_scc members =
-    let id = !scc_count in
-    incr scc_count;
-    if id >= Array.length !sccs_members then begin
-      let bigger = Array.make (2 * Array.length !sccs_members) [] in
-      Array.blit !sccs_members 0 bigger 0 (Array.length !sccs_members);
-      sccs_members := bigger
-    end;
-    !sccs_members.(id) <- members;
-    id
-  in
-  let visit start =
-    let work = Stack.create () in
-    let start_node = Oid.Tbl.find nodes start in
-    if start_node.index = -1 then begin
-      Stack.push (start, 0) work;
-      start_node.index <- !counter;
-      start_node.lowlink <- !counter;
-      incr counter;
-      start_node.on_stack <- true;
-      Stack.push start stack;
-      while not (Stack.is_empty work) do
-        let oid, child = Stack.pop work in
-        let node = Oid.Tbl.find nodes oid in
-        if child < Array.length node.fields then begin
-          Stack.push (oid, child + 1) work;
-          let succ = node.fields.(child) in
-          let succ_node = Oid.Tbl.find nodes succ in
-          if succ_node.index = -1 then begin
-            succ_node.index <- !counter;
-            succ_node.lowlink <- !counter;
-            incr counter;
-            succ_node.on_stack <- true;
-            Stack.push succ stack;
-            Stack.push (succ, 0) work
-          end
-          else if succ_node.on_stack then
-            node.lowlink <- Int.min node.lowlink succ_node.index
-        end
-        else begin
-          (if not (Stack.is_empty work) then
-             let parent_oid, _ = Stack.top work in
-             let parent = Oid.Tbl.find nodes parent_oid in
-             parent.lowlink <- Int.min parent.lowlink node.lowlink);
-          if node.lowlink = node.index then begin
-            let members = ref [] in
-            let continue = ref true in
-            while !continue do
-              let member = Stack.pop stack in
-              let m = Oid.Tbl.find nodes member in
-              m.on_stack <- false;
-              members := member :: !members;
-              if Oid.equal member oid then continue := false
-            done;
-            let id = push_scc !members in
-            List.iter (fun member -> (Oid.Tbl.find nodes member).scc <- id) !members
-          end
-        end
-      done
-    end
-  in
-  Heap.iter heap (fun obj -> visit obj.Heap.oid);
-  let n = !scc_count in
-  let reach = Array.make (Int.max n 1) Oid.Set.empty in
-  for id = 0 to n - 1 do
-    let direct =
-      List.fold_left
-        (fun acc member ->
-          let node = Oid.Tbl.find nodes member in
-          let acc = List.fold_left (fun acc r -> Oid.Set.add r acc) acc node.remote in
-          Array.fold_left
-            (fun acc succ ->
-              let succ_scc = (Oid.Tbl.find nodes succ).scc in
-              if succ_scc = id then acc else Oid.Set.union acc reach.(succ_scc))
-            acc node.fields)
-        Oid.Set.empty !sccs_members.(id)
-    in
-    reach.(id) <- direct
-  done;
-  let { Heap.local = root_local; remote = root_remote } =
-    Heap.trace_sets heap ~from:(Heap.roots heap)
-  in
-  let stubs_from_of_target target =
-    match Oid.Tbl.find_opt nodes target with
-    | Some node -> reach.(node.scc)
-    | None -> Oid.Set.empty
-  in
-  assemble ~now p ~root_local ~root_remote ~stubs_from_of_target
+  assemble_dense s ~now p ~n ~nscc ~reach
 
 let run ?(algo = Condensed) ~now p =
   match algo with
   | Naive -> run_naive ~now p
   | Condensed -> run_condensed ~now p
-  | Condensed_sets -> run_condensed_sets ~now p
 
 module Incremental = struct
   type region = { r_local : Oid.Set.t; r_remote : Oid.Set.t }

@@ -10,13 +10,11 @@
       over the resulting DAG, sharing work between scions that reach
       the same region (the paper's "breadth-first, to minimize
       re-tracing" concern, taken further).  Runs on the heap's
-      persistent dense index: CSR adjacency, int-array Tarjan state
-      and a reused module-level scratch pool, so steady-state
-      summarization allocates only at the {!Summary} boundary.
-    - [Condensed_sets] — the pre-dense implementation of [Condensed]
-      (per-node [Oid.Tbl] state, functional sets).  Kept as the
-      reference path: the equivalence property pins the dense rewrite
-      to it and the [tracer] benchmark measures the speedup.
+      persistent dense index: CSR adjacency, int-array Tarjan state,
+      root reachability as a byte per node and [StubsFrom] computed
+      once per SCC, with the scratch pooled per domain (the parallel
+      engine summarizes several processes at once), so steady-state
+      summarization allocates little beyond the {!Summary} itself.
 
     All variants produce identical summaries (a property test) and the
     E10 / tracer benchmarks compare their cost profiles.
@@ -26,7 +24,7 @@
     pipeline: the snapshot reflects one instant of the process, while
     the rest of the system keeps running. *)
 
-type algo = Naive | Condensed | Condensed_sets
+type algo = Naive | Condensed
 
 val run : ?algo:algo -> now:int -> Adgc_rt.Process.t -> Summary.t
 (** Default algorithm: [Condensed]. *)

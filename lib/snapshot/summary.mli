@@ -66,4 +66,18 @@ val to_sval : t -> Adgc_serial.Sval.t
 
 val of_sval : Adgc_serial.Sval.t -> t option
 
+(** {2 Direct compact-codec path}
+
+    The snapshot store's hot path for the default codec.  Same bytes
+    and same results as the generic pair, without building the
+    {!Adgc_serial.Sval.t} tree in between. *)
+
+val encode_net : t -> string
+(** Exactly [Net_codec.encode (to_sval t)]. *)
+
+val decode_net : string -> t option
+(** [of_sval (Net_codec.decode s)], parsed straight into a summary:
+    [None] where [of_sval] rejects the document.
+    @raise Adgc_serial.Wire.Malformed where [Net_codec.decode] does. *)
+
 val pp : Format.formatter -> t -> unit

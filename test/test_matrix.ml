@@ -90,6 +90,25 @@ let corrupted_roundtrip codec name =
          | _ -> true (* same byte or a still-valid document *)
          | exception Adgc_serial.Wire.Malformed _ -> true))
 
+(* The snapshot store's direct summary decoder against the generic
+   Net_codec + [of_sval] pair: on junk, and on real summary encodings
+   with a random run of bytes spliced in, both agree (same summary,
+   both [None], or both [Wire.Malformed]) and nothing else escapes. *)
+let summary_decoders_agree name gen =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name ~count:500 ~print:QCheck2.Print.string gen
+       Test_snapshot.decoders_agree)
+
+let gen_spliced_summary =
+  QCheck2.Gen.(
+    let* bytes = map Adgc_snapshot.Summary.encode_net Test_snapshot.gen_summary in
+    let n = String.length bytes in
+    let+ pos = int_bound n
+    and+ cut = int_bound 8
+    and+ junk = string_size ~gen:char (int_bound 8) in
+    let rest = Int.min n (pos + cut) in
+    String.sub bytes 0 pos ^ junk ^ String.sub bytes rest (n - rest))
+
 let suite =
   ( "matrix",
     matrix_cases
@@ -98,4 +117,8 @@ let suite =
         never_crashes rotor "rotor decoder never crashes on junk";
         corrupted_roundtrip net "net decoder survives corruption";
         corrupted_roundtrip rotor "rotor decoder survives corruption";
+        summary_decoders_agree "direct summary decoder = generic on junk"
+          QCheck2.Gen.(string_size ~gen:char (int_bound 200));
+        summary_decoders_agree "direct summary decoder = generic on spliced summaries"
+          gen_spliced_summary;
       ] )

@@ -32,6 +32,50 @@ let test_wire_varint_small_is_one_byte () =
   Wire.Writer.varint w2 (-3);
   check Alcotest.int "negative small also 1 byte" 1 (Wire.Writer.length w2)
 
+(* Pin the varint reader's edges: the extreme ints take nine bytes,
+   a ten-byte varint is still accepted, an eleventh byte is "too long"
+   at offset 10, and a truncated one fails at the end of input.  A
+   string whose length prefix is [max_int] is malformed. *)
+let test_wire_varint_edges () =
+  let encode v =
+    let w = Wire.Writer.create () in
+    Wire.Writer.varint w v;
+    Wire.Writer.contents w
+  in
+  let decode s =
+    let r = Wire.Reader.of_string s in
+    let v = Wire.Reader.varint r in
+    (v, Wire.Reader.pos r)
+  in
+  let malformed s =
+    match decode s with
+    | _ -> Alcotest.failf "decoded %S" s
+    | exception Wire.Malformed { offset; what } -> (offset, what)
+  in
+  check Alcotest.string "-1" "\001" (encode (-1));
+  check Alcotest.string "max_int" ("\xfe" ^ String.make 7 '\xff' ^ "\x7f") (encode max_int);
+  check Alcotest.string "min_int" (String.make 8 '\xff' ^ "\x7f") (encode min_int);
+  List.iter
+    (fun v ->
+      check (Alcotest.pair Alcotest.int Alcotest.int) (string_of_int v) (v, 9) (decode (encode v)))
+    [ min_int; max_int ];
+  check (Alcotest.pair Alcotest.int Alcotest.int) "-1" (-1, 1) (decode (encode (-1)));
+  check (Alcotest.pair Alcotest.int Alcotest.int) "ten bytes" (0, 10)
+    (decode (String.make 9 '\x80' ^ "\000"));
+  check (Alcotest.pair Alcotest.int Alcotest.string) "overlong" (10, "varint too long")
+    (malformed (String.make 10 '\x80' ^ "\000"));
+  check (Alcotest.pair Alcotest.int Alcotest.string) "truncated" (2, "unexpected end of input")
+    (malformed "\x80\x80");
+  check (Alcotest.pair Alcotest.int Alcotest.string) "empty" (0, "unexpected end of input")
+    (malformed "");
+  (* A length prefix of [max_int] must fail the bounds check, not
+     overflow it. *)
+  match Wire.Reader.string (Wire.Reader.of_string (encode max_int ^ "abc")) with
+  | s -> Alcotest.failf "read %S" s
+  | exception Wire.Malformed { offset; what } ->
+      check (Alcotest.pair Alcotest.int Alcotest.string) "huge length"
+        (9, "raw read past end of input") (offset, what)
+
 let test_wire_int64_roundtrip () =
   let cases = [ 0L; 1L; -1L; Int64.max_int; Int64.min_int; 0xDEADBEEFL ] in
   let w = Wire.Writer.create () in
@@ -473,6 +517,7 @@ let suite =
     [
       Alcotest.test_case "wire: varint roundtrip" `Quick test_wire_varint_roundtrip;
       Alcotest.test_case "wire: small varints are 1 byte" `Quick test_wire_varint_small_is_one_byte;
+      Alcotest.test_case "wire: varint edges and overlong input" `Quick test_wire_varint_edges;
       Alcotest.test_case "wire: int64 roundtrip" `Quick test_wire_int64_roundtrip;
       Alcotest.test_case "wire: float roundtrip" `Quick test_wire_float_roundtrip;
       Alcotest.test_case "wire: string roundtrip" `Quick test_wire_string_roundtrip;

@@ -153,11 +153,10 @@ let test_naive_equals_condensed_random () =
   done
 
 let test_all_summarizers_agree_under_churn () =
-  (* Property: Naive, the dense Condensed, the set-based reference
-     Condensed_sets and the Incremental summarizer all produce equal
-     summaries on randomized graphs subjected to churn (allocation,
-     linking, unlinking, RMIs) — the parity that lets Condensed stay
-     the default. *)
+  (* Property: Naive, the dense Condensed and the Incremental
+     summarizer all produce equal summaries on randomized graphs
+     subjected to churn (allocation, linking, unlinking, RMIs) — the
+     parity that lets Condensed stay the default. *)
   List.iter
     (fun seed ->
       let rng = Adgc_util.Rng.create seed in
@@ -179,12 +178,9 @@ let test_all_summarizers_agree_under_churn () =
           let p = Cluster.proc cluster proc in
           let naive = Summarize.run ~algo:Summarize.Naive ~now:round p in
           let dense = Summarize.run ~algo:Summarize.Condensed ~now:round p in
-          let sets = Summarize.run ~algo:Summarize.Condensed_sets ~now:round p in
           let inc = Summarize.Incremental.run states.(proc) ~now:round p in
           if not (Summary.equal naive dense) then
             Alcotest.failf "seed %d round %d proc %d: naive <> condensed" seed round proc;
-          if not (Summary.equal naive sets) then
-            Alcotest.failf "seed %d round %d proc %d: naive <> condensed_sets" seed round proc;
           if not (Summary.equal naive inc) then
             Alcotest.failf "seed %d round %d proc %d: naive <> incremental" seed round proc
         done
@@ -234,6 +230,150 @@ let test_summary_sval_roundtrip () =
 
 let test_summary_sval_rejects_junk () =
   check Alcotest.bool "junk" true (Summary.of_sval (Adgc_serial.Sval.Int 1) = None)
+
+(* ------------------------------------------------------------------ *)
+(* Direct compact-codec path: [Summary.encode_net]/[decode_net] must
+   match the generic [to_sval] -> Net_codec -> [of_sval] pair, which
+   stays the oracle. *)
+
+module Net_codec = Adgc_serial.Net_codec
+module Wire = Adgc_serial.Wire
+
+let gen_serial =
+  QCheck2.Gen.(
+    oneof
+      [ int_bound 64; map (fun d -> max_int - d) (int_bound 64); map (fun i -> i land max_int) int ])
+
+let gen_counter =
+  QCheck2.Gen.(oneof [ int_range (-64) 64; int; pure min_int; pure max_int ])
+
+let gen_oid =
+  QCheck2.Gen.(
+    let+ owner = int_bound 1000 and+ serial = gen_serial in
+    Oid.make ~owner:(Proc_id.of_int owner) ~serial)
+
+let gen_key =
+  QCheck2.Gen.(
+    let+ src = int_bound 1000 and+ target = gen_oid in
+    Ref_key.make ~src:(Proc_id.of_int src) ~target)
+
+let gen_scion =
+  QCheck2.Gen.(
+    let+ key = gen_key
+    and+ scion_ic = gen_counter
+    and+ stubs = list_size (int_bound 4) gen_oid
+    and+ target_locally_reachable = bool
+    and+ last_invoked = gen_counter in
+    {
+      Summary.key;
+      scion_ic;
+      stubs_from = Oid.Set.of_list stubs;
+      target_locally_reachable;
+      last_invoked;
+    })
+
+let gen_stub =
+  QCheck2.Gen.(
+    let+ target = gen_oid
+    and+ stub_ic = gen_counter
+    and+ keys = list_size (int_bound 4) gen_key
+    and+ local_reach = bool in
+    { Summary.target; stub_ic; scions_to = Ref_key.Set.of_list keys; local_reach })
+
+(* The four intern orders: which of the scion and stub sections is
+   empty decides which names are interned first and at what index. *)
+let gen_summary =
+  QCheck2.Gen.(
+    let some g = list_size (int_range 1 4) g in
+    let* scions, stubs =
+      oneof
+        [
+          pair (pure []) (some gen_stub);
+          pair (some gen_scion) (pure []);
+          pair (pure []) (pure []);
+          pair (some gen_scion) (some gen_stub);
+        ]
+    in
+    let+ proc = int_bound 1000 and+ taken_at = gen_counter in
+    Summary.make ~proc:(Proc_id.of_int proc) ~taken_at ~scions ~stubs)
+
+let print_summary s = Format.asprintf "%a" Summary.pp s
+
+(* [Ok (Some s)], [Ok None] (well-formed bytes, not a summary) or
+   [Error ()] ([Wire.Malformed]); any other exception fails the test. *)
+let generic_decode bytes =
+  match Summary.of_sval (Net_codec.decode bytes) with
+  | v -> Ok v
+  | exception Wire.Malformed _ -> Error ()
+
+let direct_decode bytes =
+  match Summary.decode_net bytes with v -> Ok v | exception Wire.Malformed _ -> Error ()
+
+let same_summary a b = Summary.equal a b && a.Summary.taken_at = b.Summary.taken_at
+
+let decoders_agree bytes =
+  match (generic_decode bytes, direct_decode bytes) with
+  | Ok (Some a), Ok (Some b) -> same_summary a b
+  | Ok None, Ok None | Error (), Error () -> true
+  | _, _ -> false
+
+let test_direct_encode_matches_generic =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"direct encode = Net_codec.encode . to_sval" ~count:300
+       ~print:print_summary gen_summary (fun s ->
+         let bytes = Summary.encode_net s in
+         String.equal bytes (Net_codec.encode (Summary.to_sval s))
+         &&
+         match Summary.decode_net bytes with
+         | Some d -> same_summary s d
+         | None -> false))
+
+let test_direct_decode_agrees_on_damage =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"direct decode = generic on truncation and corruption" ~count:20
+       ~print:print_summary gen_summary (fun s ->
+         let bytes = Summary.encode_net s in
+         let n = String.length bytes in
+         let ok = ref true in
+         for len = 0 to n - 1 do
+           ok := !ok && decoders_agree (String.sub bytes 0 len)
+         done;
+         (* Every position, every other byte value. *)
+         let b = Bytes.of_string bytes in
+         for pos = 0 to n - 1 do
+           for v = 0 to 255 do
+             if v <> Char.code bytes.[pos] then begin
+               Bytes.set b pos (Char.chr v);
+               ok := !ok && decoders_agree (Bytes.to_string b)
+             end
+           done;
+           Bytes.set b pos bytes.[pos]
+         done;
+         !ok))
+
+let test_direct_decode_rejects_foreign_documents () =
+  (* Well-formed Net_codec documents that are not summaries decode to
+     [None] on both paths; a trailing byte is malformed on both. *)
+  let cluster, _, _, _ = build_p2_like () in
+  let s = Summarize.run ~now:3 (Cluster.proc cluster 1) in
+  let foreign =
+    [
+      Adgc_serial.Sval.Int 1;
+      Adgc_serial.Sval.Record ("summary", []);
+      (match Summary.to_sval s with
+      | Adgc_serial.Sval.Record (_, fields) -> Adgc_serial.Sval.Record ("summaries", fields)
+      | v -> v);
+    ]
+  in
+  List.iter
+    (fun v ->
+      let bytes = Net_codec.encode v in
+      check Alcotest.bool "generic None" true (generic_decode bytes = Ok None);
+      check Alcotest.bool "direct agrees" true (decoders_agree bytes))
+    foreign;
+  let trailing = Summary.encode_net s ^ "\000" in
+  check Alcotest.bool "trailing byte is malformed" true (direct_decode trailing = Error ());
+  check Alcotest.bool "agrees on trailing byte" true (decoders_agree trailing)
 
 (* ------------------------------------------------------------------ *)
 (* Incremental summarization *)
@@ -384,6 +524,10 @@ let suite =
       Alcotest.test_case "summary is immutable" `Quick test_summary_is_immutable_snapshot;
       Alcotest.test_case "summary sval roundtrip" `Quick test_summary_sval_roundtrip;
       Alcotest.test_case "summary sval rejects junk" `Quick test_summary_sval_rejects_junk;
+      test_direct_encode_matches_generic;
+      test_direct_decode_agrees_on_damage;
+      Alcotest.test_case "direct decode rejects foreign documents" `Quick
+        test_direct_decode_rejects_foreign_documents;
       Alcotest.test_case "incremental = full (known graph)" `Quick test_incremental_matches_full;
       Alcotest.test_case "incremental reuses clean regions" `Quick
         test_incremental_reuses_clean_regions;
