@@ -51,13 +51,7 @@ let rev () =
           | _ -> "dev"))
 
 let host () =
-  let cores = Domain.recommended_domain_count () in
-  let worker_domains =
-    match Option.bind (Sys.getenv_opt "ADGC_POOL_DOMAINS") int_of_string_opt with
-    | Some n when n > 0 -> n
-    | Some _ | None -> Int.max 1 (cores - 1)
-  in
-  { Results.cores; worker_domains }
+  { Results.cores = Domain.recommended_domain_count () }
 
 (* Sample-recording shorthands: a timing series from raw repetition
    measurements, and a deterministic scalar (ticks, messages, bytes —

@@ -1,10 +1,8 @@
 (* Net section (E23): the socket-backed multi-process driver vs the
    in-memory simulator on the same scenario — what real processes,
    syscalls and wire serialization cost relative to simulated
-   delivery.  Nodes are spawned by exec'ing the adgc_sim binary
-   ([Unix.fork] is off-limits here: the engine section may already
-   have spawned domains, which forbids fork for the rest of the
-   process).
+   delivery.  Nodes are spawned by exec'ing [adgc_sim serve], the
+   real node binary.
 
    The in-memory columns are deterministic (pure functions of the
    seed); everything measured on the socket side is wall-clock slaved

@@ -4,7 +4,7 @@
      dune exec bench/main.exe -- tracer detection
                                          -- run selected sections
 
-   Perf sections (tracer, telemetry, engine, net, detection) record
+   Perf sections (tracer, telemetry, net, detection, scale) record
    uniform sample series; after the run the results document is
    written to bench/results/<rev>.json and bench/results/latest.json
    for `adgc_sim perf check` to gate against bench/baseline.json.

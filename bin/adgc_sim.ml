@@ -66,15 +66,6 @@ let detector_conv =
   in
   Cmdliner.Arg.conv (parse, print)
 
-let engine_conv =
-  let parse s =
-    match Config.engine_of_string s with
-    | Some e -> Ok e
-    | None -> Error (`Msg (Printf.sprintf "unknown engine %S (seq or par)" s))
-  in
-  let print ppf e = Format.pp_print_string ppf (Config.engine_to_string e) in
-  Cmdliner.Arg.conv (parse, print)
-
 let candidates_conv =
   let parse s =
     match Config.candidates_of_string s with
@@ -146,7 +137,7 @@ let write_file path contents =
   output_string oc contents;
   close_out oc
 
-let run_cmd topology procs seed loss detector candidates groups engine time churn_steps objects
+let run_cmd topology procs seed loss detector candidates groups time churn_steps objects
     edges trace_topics crash_list faults_profile metrics_file spans_file inspect quiet =
   let n_procs = Int.max procs (min_procs topology) in
   let config = Config.quick ~seed ~n_procs () in
@@ -160,7 +151,7 @@ let run_cmd topology procs seed loss detector candidates groups engine time chur
     | Some p -> Faults.plan_of_profile ~start:(time / 5) ~stop:(time * 3 / 5) ~n_procs p
   in
   let telemetry = metrics_file <> None || spans_file <> None in
-  let config = { config with Config.detector; candidates; engine; faults; telemetry } in
+  let config = { config with Config.detector; candidates; faults; telemetry } in
   let sim = Sim.create ~config () in
   let cluster = Sim.cluster sim in
   let checker = Metrics.install_safety_checker cluster in
@@ -693,17 +684,6 @@ let candidates_arg =
            ADGC_CANDIDATES environment variable, then scan."
         ~docv:"MODE")
 
-let engine_arg =
-  Arg.(
-    value
-    & opt engine_conv (Config.engine_of_env ())
-    & info [ "engine" ]
-        ~doc:
-          "Execution engine for the bulk phases: seq (interleaved, the reference) or par \
-           (domain-parallel prepares, byte-identical output; worker count from \
-           ADGC_POOL_DOMAINS). Defaults to the ADGC_ENGINE environment variable, then seq."
-        ~docv:"ENGINE")
-
 let time_arg = Arg.(value & opt int 100_000 & info [ "time" ] ~doc:"Simulated ticks to run.")
 
 let churn_arg = Arg.(value & opt int 0 & info [ "churn" ] ~doc:"Random mutator actions to schedule.")
@@ -784,7 +764,7 @@ let faults_arg =
 let run_term =
   Term.(
     const run_cmd $ topology_arg $ procs_arg $ seed_arg $ loss_arg $ detector_arg
-    $ candidates_arg $ groups_arg $ engine_arg $ time_arg $ churn_arg $ objects_arg $ edges_arg
+    $ candidates_arg $ groups_arg $ time_arg $ churn_arg $ objects_arg $ edges_arg
     $ trace_arg $ crash_arg $ faults_arg $ metrics_arg $ spans_arg $ inspect_arg $ quiet_arg)
 
 let run_cmd_info = Cmd.info "run" ~doc:"Run a scenario end to end and report."

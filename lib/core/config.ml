@@ -1,22 +1,6 @@
 type detector_kind = Dcda | Backtrack | Hughes_gc | No_detector
 
-type engine_kind = Seq | Par
-
-let engine_of_string s =
-  match String.lowercase_ascii (String.trim s) with
-  | "seq" | "sequential" -> Some Seq
-  | "par" | "parallel" -> Some Par
-  | _ -> None
-
-let engine_to_string = function Seq -> "seq" | Par -> "par"
-
-(* The CI engine matrix steers whole test binaries through the
-   environment; anything not recognised falls back to sequential so a
-   typo degrades to the reference engine rather than crashing. *)
-let engine_of_env () =
-  match Sys.getenv_opt "ADGC_ENGINE" with
-  | Some s -> ( match engine_of_string s with Some e -> e | None -> Seq)
-  | None -> Seq
+type engine_kind = Seq
 
 type candidates_kind = Scan_candidates | Incremental_candidates
 
@@ -30,9 +14,9 @@ let candidates_to_string = function
   | Scan_candidates -> "scan"
   | Incremental_candidates -> "incremental"
 
-(* Mirror of the engine matrix: ADGC_CANDIDATES steers whole test
-   binaries through the environment, and an unrecognised value falls
-   back to the full-scan oracle path. *)
+(* ADGC_CANDIDATES steers whole test binaries through the
+   environment, and an unrecognised value falls back to the full-scan
+   oracle path. *)
 let candidates_of_env () =
   match Sys.getenv_opt "ADGC_CANDIDATES" with
   | Some s -> ( match candidates_of_string s with Some c -> c | None -> Scan_candidates)
@@ -96,7 +80,7 @@ let default ?(seed = 42) ?(n_procs = 4) () =
     bt_timeout = 50_000;
     bt_idle_threshold = 2_000;
     telemetry = false;
-    engine = engine_of_env ();
+    engine = Seq;
     candidates = candidates_of_env ();
   }
 

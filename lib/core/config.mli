@@ -6,27 +6,11 @@ type detector_kind =
   | Hughes_gc  (** the timestamp-propagation baseline (starts with {!Sim.start}) *)
   | No_detector  (** acyclic DGC only (distributed cycles leak) *)
 
-type engine_kind =
-  | Seq  (** the reference engine: plain sequential execution *)
-  | Par
-      (** domain-parallel engine: process-local phases of bulk
-          operations (heap tracing, snapshot summarization, scan
-          evaluation) run on a small domain pool, effects are applied
-          at a barrier in canonical process order — observationally
-          identical to [Seq] (same metrics document, same span
-          digest), just faster on multicore hosts *)
-
-val engine_of_string : string -> engine_kind option
-(** Accepts ["seq"]/["sequential"] and ["par"]/["parallel"], case- and
-    whitespace-insensitively. *)
-
-val engine_to_string : engine_kind -> string
-
-val engine_of_env : unit -> engine_kind
-(** Engine selected by the [ADGC_ENGINE] environment variable ([Seq]
-    when unset or unrecognised).  {!default} uses this, so the CI
-    engine matrix can steer whole test binaries without touching
-    code. *)
+type engine_kind = Seq
+(** Every bulk per-process operation runs sequentially, one process at
+    a time in ascending order; this is the only value.  The type and
+    the {!t.engine} field remain only because the benchmark in
+    [perfbench/] sets [engine = Seq] explicitly. *)
 
 type candidates_kind =
   | Scan_candidates
@@ -47,7 +31,7 @@ val candidates_of_env : unit -> candidates_kind
 (** Mode selected by the [ADGC_CANDIDATES] environment variable
     ([Scan_candidates] when unset or unrecognised).  {!default} uses
     this, so the CI candidates matrix can steer whole test binaries
-    without touching code — the mirror of {!engine_of_env}. *)
+    without touching code. *)
 
 val groups_of_string : string -> int option
 (** Group size for the hierarchical overlay: ["off"]/["flat"]/["none"]
@@ -61,8 +45,8 @@ val groups_of_env : unit -> int
 (** Group size selected by the [ADGC_GROUPS] environment variable (0 =
     flat when unset or unrecognised).  {!default} folds this into
     [runtime.group_size] (with [group_relay] on for sizes [> 1]), so
-    the CI groups matrix steers whole test binaries like the engine
-    and candidates matrices do. *)
+    the CI groups matrix steers whole test binaries like the
+    candidates matrix does. *)
 
 type t = {
   seed : int;
@@ -84,10 +68,7 @@ type t = {
   telemetry : bool;
       (** enable structured spans and detection lineage (see
           {!Adgc_obs}); default off — every hook is then one branch *)
-  engine : engine_kind;
-      (** execution engine for the bulk per-process operations driven
-          by {!Sim} (default: {!engine_of_env}, i.e. [Seq] unless
-          [ADGC_ENGINE] says otherwise) *)
+  engine : engine_kind;  (** always [Seq]; see {!engine_kind} *)
   candidates : candidates_kind;
       (** candidate source for DCDA scans (default:
           {!candidates_of_env}, i.e. [Scan_candidates] unless

@@ -60,8 +60,7 @@ val live : t -> Ref_key.Set.t
 val note_publish : t -> unit
 (** The detector published a fresh summary: {!refresh}, then freeze
     the current candidate set as the scan source ({!published}).
-    Called under the summary-store commit, in canonical process
-    order, so engines agree on the frozen set. *)
+    Called under the summary-store commit. *)
 
 val published : t -> Ref_key.t list
 (** The candidate keys frozen by the last {!note_publish}, in

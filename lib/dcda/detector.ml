@@ -427,14 +427,7 @@ let arrange t candidates =
       Adgc_util.Rng.shuffle t.proc.Process.rng arr;
       Array.to_list arr
 
-(* Pure phase of a scan: evaluate the published summary against the
-   policy and pick this round's candidates.  Touches only this
-   detector's own state (tables, cursor, the per-process rng for
-   [Random_order]) — never the network, stats or another process —
-   so many detectors' scan_prepare may run concurrently under the
-   parallel engine.
-
-   The candidate source depends on the mode: [Full_scan] walks every
+(* The candidate source depends on the mode: [Full_scan] walks every
    scion of the published summary (the oracle path); [Incremental]
    walks only the keys the candidate maintainer froze when that same
    summary was published.  Both lists are in ascending key order and
@@ -446,9 +439,12 @@ let scan_source t summary =
   | Full_scan -> Summary.scion_list summary
   | Incremental -> List.filter_map (Summary.find_scion summary) (Candidates.published t.candidates)
 
-let scan_prepare t =
+(* A scan evaluates the published summary against the policy, picks
+   this round's candidates (advancing the rotating cursor) and starts
+   a detection per pick. *)
+let scan t =
   match t.summary with
-  | None -> []
+  | None -> 0
   | Some summary ->
       let now = Runtime.now t.rt in
       let effective_cooldown key =
@@ -475,16 +471,9 @@ let scan_prepare t =
       (match List.rev picked with
       | last :: _ -> t.scan_cursor <- Some last.Summary.key
       | [] -> ());
-      picked
-
-(* Effect phase: start a detection per picked candidate (CDM sends,
-   stats, lineage).  Canonical process order. *)
-let scan_commit t picked =
-  List.fold_left
-    (fun acc (si : Summary.scion_info) -> if initiate t si.Summary.key then acc + 1 else acc)
-    0 picked
-
-let scan t = scan_commit t (scan_prepare t)
+      List.fold_left
+        (fun acc (si : Summary.scion_info) -> if initiate t si.Summary.key then acc + 1 else acc)
+        0 picked
 
 (* The full-scan audit duty: recompute the candidate set from scratch
    and compare with the maintained one.  Runs in every mode — it is

@@ -69,19 +69,7 @@ val summary : t -> Adgc_snapshot.Summary.t option
 
 val scan : t -> int
 (** Look for candidate scions per the policy heuristic and initiate
-    detections; returns how many were started.  Equivalent to
-    {!scan_commit} of {!scan_prepare}. *)
-
-val scan_prepare : t -> Adgc_snapshot.Summary.scion_info list
-(** Pure phase of a scan: filter, arrange and pick this round's
-    candidates from the published summary (advancing the rotating
-    cursor).  Touches only this detector's own state, so prepares for
-    many processes may run concurrently ({!Adgc.Engine.Par}). *)
-
-val scan_commit : t -> Adgc_snapshot.Summary.scion_info list -> int
-(** Effect phase: initiate a detection per picked candidate (CDM
-    sends, stats, lineage); returns how many started.  Must run in
-    canonical process order. *)
+    detections; returns how many were started. *)
 
 val initiate : t -> Ref_key.t -> bool
 (** Force a detection from one scion (tests and the CLI use this);

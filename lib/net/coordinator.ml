@@ -304,8 +304,6 @@ let run opts =
     else Scenario.garbage_excluding scenario ~dead:expected_dead
   in
   let listener = Transport.listen (Transport.Unix_sock (Node.coord_path ~dir)) in
-  (* Fork safety: no live worker domains may cross the fork. *)
-  Adgc_util.Pool.shutdown_shared ();
   let nodes =
     phase "net.spawn" (fun () ->
         Array.init n (fun rank ->

@@ -105,10 +105,10 @@ let build_topology t cluster =
       Topology.chain_into_ring cluster
         ~procs:(List.init (Cluster.n_procs cluster) (fun i -> i))
 
-let build ?(telemetry = false) ?(engine = Config.Seq) t =
+let build ?(telemetry = false) t =
   let config = Config.quick ~seed:t.seed ~n_procs:(n_procs t) () in
   let config =
-    { config with Config.detector = t.detector; candidates = t.candidates; engine; telemetry }
+    { config with Config.detector = t.detector; candidates = t.candidates; telemetry }
   in
   let config = Config.with_groups config t.groups in
   let sim = Sim.create ~config () in

@@ -64,12 +64,9 @@ val make :
 val n_procs : t -> int
 (** [max procs (min_procs topology)] — what [build] actually creates. *)
 
-val build :
-  ?telemetry:bool -> ?engine:Adgc.Config.engine_kind -> t -> Adgc.Sim.t * Adgc_workload.Topology.built
+val build : ?telemetry:bool -> t -> Adgc.Sim.t * Adgc_workload.Topology.built
 (** Build the simulator (quick periods, chosen detector) and the
-    topology, applying each figure's garbage-making root removal.
-    [engine] defaults to [Seq] — node processes must stay
-    single-domain (they fork). *)
+    topology, applying each figure's garbage-making root removal. *)
 
 type expected = { live : Oid.Set.t; garbage : Oid.Set.t }
 

@@ -2,7 +2,7 @@ module Json = Adgc_util.Json
 
 let schema_version = 1
 
-type host = { cores : int; worker_domains : int }
+type host = { cores : int }
 
 type t = {
   rev : string;
@@ -32,12 +32,7 @@ let to_json t =
       ("schema_version", Json.Int schema_version);
       ("rev", Json.Str t.rev);
       ("smoke", Json.Bool t.smoke);
-      ( "host",
-        Json.Obj
-          [
-            ("cores", Json.Int t.host.cores);
-            ("worker_domains", Json.Int t.host.worker_domains);
-          ] );
+      ("host", Json.Obj [ ("cores", Json.Int t.host.cores) ]);
       ( "sections",
         Json.obj_sorted
           (List.map
@@ -61,11 +56,13 @@ let of_json j =
   let* smoke =
     match member "smoke" j with Some (Json.Bool b) -> Ok b | _ -> Error "missing smoke"
   in
+  (* Older documents also carry a [worker_domains] count; it is
+     ignored. *)
   let* host =
     match member "host" j with
     | Some h -> (
-        match (member "cores" h, member "worker_domains" h) with
-        | Some (Json.Int cores), Some (Json.Int worker_domains) -> Ok { cores; worker_domains }
+        match member "cores" h with
+        | Some (Json.Int cores) -> Ok { cores }
         | _ -> Error "malformed host")
     | None -> Error "missing host"
   in

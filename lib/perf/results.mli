@@ -1,7 +1,7 @@
 (** The canonical, schema-versioned benchmark results document:
     sections of {!Sample.t} records plus the host facts a reader
-    needs to judge the numbers (core count, worker domains, smoke
-    flag, source revision).
+    needs to judge the numbers (core count, smoke flag, source
+    revision).
 
     The JSON rendering is deterministic — sections and samples are
     sorted by name, floats print canonically — so two same-seed runs
@@ -12,7 +12,7 @@ module Json = Adgc_util.Json
 
 val schema_version : int
 
-type host = { cores : int; worker_domains : int }
+type host = { cores : int }
 
 type t = {
   rev : string;  (** source revision, or "dev" outside a checkout *)

@@ -12,11 +12,9 @@ type plan = {
 (* Pure-ish per-process phase: trace from roots + protected scions,
    refresh stub liveness, and decide what to sweep.  Mutates only
    [p]'s own state (its stub table, its paged store's clocks), never a
-   shared sink or another process — safe to run for many processes
-   concurrently under {!Adgc.Engine.Par}.  The heap itself is not
-   touched: sweeping happens in {!apply}, after the pre-sweep hook
-   (the whole-system oracle reads every heap there, so the sweep must
-   stay in commit order). *)
+   shared sink or another process.  The heap itself is not touched:
+   sweeping happens in {!apply}, after the pre-sweep hook (the
+   whole-system oracle reads every heap there). *)
 let plan _rt (p : Process.t) =
   let heap = p.Process.heap in
   let from =
@@ -42,7 +40,7 @@ let plan _rt (p : Process.t) =
   { plan_proc = p; doomed; stubs_dropped = List.length dropped }
 
 (* Effect phase: the pre-sweep hook, the sweep itself, stats, spans
-   and the reclamation hooks.  Canonical process order. *)
+   and the reclamation hooks. *)
 let apply rt { plan_proc = p; doomed; stubs_dropped } =
   Stats.incr rt.Runtime.stats "lgc.runs";
   Stats.add rt.Runtime.stats "dgc.stubs.dropped" stubs_dropped;

@@ -26,15 +26,15 @@ val run : Runtime.t -> Process.t -> report
 val collect_all : Runtime.t -> report list
 (** Run the LGC once on every process, in process order. *)
 
-(** {2 Engine-facing split}
+(** {2 Timed split}
 
     {!plan} is the per-process phase (root + scion trace, stub
     liveness refresh, sweep decision): it mutates only the process's
     own stub table and paged-store clocks — never the heap, a shared
-    sink or another process — so plans for many processes may run
-    concurrently.  {!apply} performs the sweep and every shared-sink
-    effect (pre-sweep hook, stats, spans, reclamation hooks) and must
-    run in canonical process order. *)
+    sink or another process.  {!apply} performs the sweep and every
+    shared-sink effect (pre-sweep hook, stats, spans, reclamation
+    hooks).  {!run} is the two in sequence; the split exists so
+    profilers can time each phase as a layer of its own. *)
 
 type plan
 

@@ -10,8 +10,8 @@
     plus outbound messages, mirroring the paper's
     no-global-synchronization process model.  The protocol logic
     itself lives in {!Reflist}, {!Rmi} and {!Lgc}, driven through the
-    shared {!Runtime} context (scheduler, network, stats — the
-    engine shell, not protocol state). *)
+    shared {!Runtime} context (scheduler, network, stats — not
+    protocol state). *)
 
 open Adgc_algebra
 

@@ -51,8 +51,7 @@ type prepared = {
 
 (* The pure per-process phase: summarize, encode and round-trip
    decode.  Reads only [p]'s heap and tables (plus this store's
-   per-process incremental state), touches no shared sink — safe to
-   run for many processes concurrently under {!Adgc.Engine.Par}. *)
+   per-process incremental state) and touches no shared sink. *)
 let prepare t (p : Process.t) =
   let now = Runtime.now t.rt in
   let summary = summarize t ~now p in
@@ -75,7 +74,7 @@ let prepare t (p : Process.t) =
   { p_proc = p; p_time = now; p_encoded = encoded; p_published = published; p_decode_failed }
 
 (* The effect phase: stats, spans, the published store, the log and
-   the subscribers (detectors).  Runs in canonical process order. *)
+   the subscribers (detectors). *)
 let commit t pr =
   let p = pr.p_proc and encoded = pr.p_encoded and published = pr.p_published in
   Stats.incr t.rt.Runtime.stats "snapshot.taken";

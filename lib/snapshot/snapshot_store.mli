@@ -28,14 +28,16 @@ val take : t -> Adgc_rt.Process.t -> Summary.t
     Equivalent to {!commit} of {!prepare}. *)
 
 val take_all : t -> unit
+(** Snapshot every process now, in ascending process order. *)
 
-(** {2 Engine-facing split}
+(** {2 Timed split}
 
     {!prepare} is the pure per-process phase (summarize + encode +
-    round-trip decode): it reads only the process's own state and may
-    run for many processes concurrently.  {!commit} applies the
-    effects — stats, spans, the published store, subscribers — and
-    must run in canonical process order. *)
+    round-trip decode): it reads only the process's own state and
+    touches no shared sink.  {!commit} applies the effects — stats,
+    spans, the published store, subscribers.  {!take} is the two in
+    sequence; the split exists so profilers can time each phase as a
+    layer of its own. *)
 
 type prepared
 

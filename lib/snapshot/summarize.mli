@@ -12,9 +12,9 @@
       re-tracing" concern, taken further).  Runs on the heap's
       persistent dense index: CSR adjacency, int-array Tarjan state,
       root reachability as a byte per node and [StubsFrom] computed
-      once per SCC, with the scratch pooled per domain (the parallel
-      engine summarizes several processes at once), so steady-state
-      summarization allocates little beyond the {!Summary} itself.
+      once per SCC, with one scratch pool reused across runs, so
+      steady-state summarization allocates little beyond the
+      {!Summary} itself.
 
     All variants produce identical summaries (a property test) and the
     E10 / tracer benchmarks compare their cost profiles.

@@ -7,12 +7,11 @@
      that {!Adgc_dcda.Candidates.audit} agrees with an independent
      full root trace (label exactness is an invariant, not an
      eventually-property);
-   - a sim-level matrix (3 seeds x {dcda, backtrack-coexistence} x
-     {seq, par}) runs the real churn workload under timers and audits
-     at checkpoints, proving the maintainer stays exact while an
-     actual detector (or the backtracking baseline it merely coexists
-     with) mutates heaps, scion tables and crash-prone schedules
-     under both execution engines. *)
+   - a sim-level matrix (3 seeds x {dcda, backtrack-coexistence})
+     runs the real churn workload under timers and audits at
+     checkpoints, proving the maintainer stays exact while an actual
+     detector (or the backtracking baseline it merely coexists with)
+     mutates heaps, scion tables and crash-prone schedules. *)
 
 open Adgc_algebra
 open Adgc_rt
@@ -172,14 +171,14 @@ let test_property_parity =
        gen_script prop_script_parity)
 
 (* ------------------------------------------------------------------ *)
-(* Sim-level matrix: real workload, real timers, both engines, the
-   detector present (dcda) or merely coexisting (backtrack). *)
+(* Sim-level matrix: real workload, real timers, the detector present
+   (dcda) or merely coexisting (backtrack). *)
 
-let run_matrix_cell ~seed ~detector ~engine =
+let run_matrix_cell ~seed ~detector =
   let procs = 4 in
   let config = Config.quick ~seed ~n_procs:procs () in
   let config =
-    { config with Config.detector; engine; candidates = Config.Incremental_candidates }
+    { config with Config.detector; candidates = Config.Incremental_candidates }
   in
   let sim = Sim.create ~config () in
   let cluster = Sim.cluster sim in
@@ -197,9 +196,8 @@ let run_matrix_cell ~seed ~detector ~engine =
   Adgc_workload.Churn.run churn ~steps:150 ~every:31;
   Sim.start sim;
   let label =
-    Printf.sprintf "seed=%d %s/%s" seed
+    Printf.sprintf "seed=%d %s" seed
       (match detector with Config.Dcda -> "dcda" | _ -> "backtrack")
-      (Config.engine_to_string engine)
   in
   for _checkpoint = 1 to 8 do
     Sim.run_for sim 2_500;
@@ -214,12 +212,7 @@ let run_matrix_cell ~seed ~detector ~engine =
 let test_matrix () =
   List.iter
     (fun seed ->
-      List.iter
-        (fun detector ->
-          List.iter
-            (fun engine -> run_matrix_cell ~seed ~detector ~engine)
-            [ Config.Seq; Config.Par ])
-        [ Config.Dcda; Config.Backtrack ])
+      List.iter (fun detector -> run_matrix_cell ~seed ~detector) [ Config.Dcda; Config.Backtrack ])
     [ 5; 23; 71 ]
 
 (* ------------------------------------------------------------------ *)
@@ -286,7 +279,7 @@ let suite =
   ( "candidates",
     [
       test_property_parity;
-      Alcotest.test_case "matrix: 3 seeds x {dcda,backtrack} x {seq,par}" `Slow test_matrix;
+      Alcotest.test_case "matrix: 3 seeds x {dcda,backtrack}" `Slow test_matrix;
       Alcotest.test_case "audit catches a deaf maintainer" `Quick
         test_audit_catches_deaf_maintainer;
       Alcotest.test_case "reclaim-mutation classes pinned" `Quick test_reclaim_mutation_classes;

@@ -52,8 +52,10 @@ let test_group_proxy_failover () =
    and batches DGC control traffic but must not change what gets
    reclaimed: the same workload run flat and grouped ends with
    byte-identical surviving object sets (timing differs — identity is
-   on the final sets after both runs converge, exactly like the
-   engine's seq-vs-par bar). *)
+   on the final sets after both runs converge).  Each cell runs once
+   with the default candidate source and once with incremental
+   candidates pinned, whose labels must track the same heaps however
+   the control traffic is routed. *)
 
 let surviving cluster =
   let rt = Cluster.rt cluster in
@@ -65,10 +67,11 @@ let surviving cluster =
     rt.Adgc_rt.Runtime.procs;
   !acc
 
-let run_leg ~seed ~detector ~engine ~groups =
+let run_leg ?candidates ~seed ~detector ~groups () =
   let n_procs = 8 in
   let config = Config.quick ~seed ~n_procs () in
-  let config = { config with Config.detector; engine } in
+  let candidates = Option.value candidates ~default:config.Config.candidates in
+  let config = { config with Config.detector; candidates } in
   let config = Config.with_groups config groups in
   let sim = Sim.create ~config () in
   let cluster = Sim.cluster sim in
@@ -83,10 +86,10 @@ let run_leg ~seed ~detector ~engine ~groups =
   Sim.teardown sim;
   (clean, s)
 
-let identity_cell ~seed ~detector ~engine () =
+let identity_cell ?candidates ~seed ~detector () =
   (* Group size 3 over 8 ranks: two full groups and a ragged tail. *)
-  let flat_clean, flat = run_leg ~seed ~detector ~engine ~groups:0 in
-  let grouped_clean, grouped = run_leg ~seed ~detector ~engine ~groups:3 in
+  let flat_clean, flat = run_leg ?candidates ~seed ~detector ~groups:0 () in
+  let grouped_clean, grouped = run_leg ?candidates ~seed ~detector ~groups:3 () in
   check Alcotest.bool "flat run converged" true flat_clean;
   check Alcotest.bool "grouped run converged" true grouped_clean;
   check Alcotest.int "same number of survivors" (Oid.Set.cardinal flat)
@@ -98,13 +101,15 @@ let identity_cases =
     (fun seed ->
       List.concat_map
         (fun (dname, detector) ->
-          List.map
-            (fun (ename, engine) ->
-              Alcotest.test_case
-                (Printf.sprintf "flat == grouped: %s/%s seed %d" dname ename seed)
-                `Slow
-                (identity_cell ~seed ~detector ~engine))
-            [ ("seq", Config.Seq); ("par", Config.Par) ])
+          [
+            Alcotest.test_case
+              (Printf.sprintf "flat == grouped: %s seed %d" dname seed)
+              `Slow (identity_cell ~seed ~detector);
+            Alcotest.test_case
+              (Printf.sprintf "flat == grouped: %s/incremental seed %d" dname seed)
+              `Slow
+              (identity_cell ~candidates:Config.Incremental_candidates ~seed ~detector);
+          ])
         [ ("dcda", Config.Dcda); ("backtrack", Config.Backtrack) ])
     [ 5; 19; 33 ]
 

@@ -1,11 +1,7 @@
-(* The engine contract: the parallel engine is an implementation
-   detail, not a semantics.  Every observable — the full metrics
-   document and the span-timeline digest — must be byte-identical
-   between [Seq] and [Par] across detectors, fault profiles and
-   seeds.  Plus the kernel-level guarantees the contract rests on:
-   prepares touch no shared state, the ground-truth tracer refines
-   in-flight replies, and the clean-poll staleness guard skips
-   without changing answers. *)
+(* Kernel-level guarantees: a snapshot prepare touches no shared
+   state, the bulk helpers are the layered per-process path in
+   ascending order, the ground-truth tracer refines in-flight replies,
+   and the clean-poll staleness guard skips without changing answers. *)
 
 open Adgc_algebra
 open Adgc_rt
@@ -19,91 +15,11 @@ module Stats = Adgc_util.Stats
 
 let check = Alcotest.check
 
-(* The container the suite usually runs on has one core, where the
-   shared pool would start zero worker domains and [Par] degenerates
-   to its sequential fallback.  Force real domains (unless the caller
-   already chose a count) so the equivalence matrix actually crosses
-   domain boundaries. *)
-let () =
-  if Sys.getenv_opt "ADGC_POOL_DOMAINS" = None then Unix.putenv "ADGC_POOL_DOMAINS" "2"
-
-(* ---------------------------------------------------------------- *)
-(* Cross-engine equivalence *)
-
-let mk_config ~engine ~detector ~faults ~seed =
-  let c = Config.quick ~seed ~n_procs:6 () in
-  let c = { c with Config.engine; detector } in
-  match faults with None -> c | Some f -> { c with Config.faults = f }
-
-(* One deterministic life of a system: seeded workload, periodic
-   timers, and explicit bulk rounds (the engine-parallel surface). *)
-let run_system config =
-  let sim = Sim.create ~config () in
-  let cluster = Sim.cluster sim in
-  let _garbage = Topology.ring cluster ~procs:[ 0; 1; 2 ] in
-  let _live = Topology.rooted_ring cluster ~procs:[ 2; 3; 4; 5 ] in
-  let _deep = Topology.chain_into_ring cluster ~procs:[ 1; 3; 5 ] in
-  Sim.start sim;
-  for _ = 1 to 4 do
-    Sim.run_for sim 1_500;
-    Sim.snapshot_all sim;
-    ignore (Sim.scan_all sim : int);
-    Sim.run_gc_cycle sim
-  done;
-  Sim.teardown sim;
-  let metrics = Json.to_string (Export.metrics_document (Sim.stats sim)) in
-  let spans = Export.span_digest (Sim.obs sim) in
-  (metrics, spans)
-
-let test_cross_engine_equivalence () =
-  let fault_cases =
-    [
-      ("clean", None);
-      ( "loss-burst",
-        Some (Faults.plan_of_profile ~start:1_000 ~stop:4_000 ~n_procs:6 Faults.Loss_burst) );
-    ]
-  in
-  List.iter
-    (fun (det_name, detector) ->
-      List.iter
-        (fun (fault_name, faults) ->
-          List.iter
-            (fun seed ->
-              let case = Printf.sprintf "%s/%s/seed%d" det_name fault_name seed in
-              let m_seq, d_seq =
-                run_system (mk_config ~engine:Config.Seq ~detector ~faults ~seed)
-              in
-              let m_par, d_par =
-                run_system (mk_config ~engine:Config.Par ~detector ~faults ~seed)
-              in
-              check Alcotest.string (case ^ ": metrics document") m_seq m_par;
-              check Alcotest.string (case ^ ": span digest") d_seq d_par)
-            [ 7; 21 ])
-        fault_cases)
-    [ ("dcda", Config.Dcda); ("backtrack", Config.Backtrack) ];
-  (* Parked pool domains tax every later suite's minor GCs
-     (stop-the-world rendezvous) — release them now that the parallel
-     cases are done. *)
-  Adgc_util.Pool.shutdown_shared ()
-
-let test_engine_names () =
-  let name engine =
-    let sim = Sim.create ~config:(mk_config ~engine ~detector:Config.Dcda ~faults:None ~seed:1) () in
-    let n = Sim.engine_name sim in
-    Sim.teardown sim;
-    n
-  in
-  check Alcotest.string "seq" "seq" (name Config.Seq);
-  check Alcotest.string "par" "par" (name Config.Par);
-  check Alcotest.bool "env parser roundtrip" true
-    (Config.engine_of_string (Config.engine_to_string Config.Par) = Some Config.Par);
-  Adgc_util.Pool.shutdown_shared ()
-
 (* ---------------------------------------------------------------- *)
 (* Kernel purity: a snapshot prepare may read its process but must
-   leave every shared observable — stats, spans, the store — alone.
-   That is the invariant that lets [Par] run prepares off the main
-   domain and still commit byte-identical output. *)
+   leave every shared observable — stats, spans, the store — alone,
+   so the prepare/commit split the layer profile times is a real
+   split: every effect lands in commit. *)
 
 let test_prepare_touches_no_shared_state () =
   let sim = Sim.create ~config:(Config.quick ()) () in
@@ -128,6 +44,68 @@ let test_prepare_touches_no_shared_state () =
   check Alcotest.bool "commit published" true
     (Snapshot_store.latest store (Proc_id.of_int 0) <> None);
   Sim.teardown sim
+
+(* ---------------------------------------------------------------- *)
+(* One execution path: [Sim.snapshot_all], [Sim.scan_all] and
+   [Sim.run_gc_cycle] must do exactly what the layered per-process
+   calls do when driven by hand in ascending process order —
+   snapshot prepare/commit, detector scan, LGC plan/apply, then the
+   stub sets.  No timers run, so every collection step comes from the
+   bulk rounds.  Same seed, same workload: the two runs must end with
+   byte-identical stats, span digests and survivors. *)
+
+let bulk_round_run ~by_hand =
+  let config = { (Config.quick ~seed:13 ~n_procs:6 ()) with Config.telemetry = true } in
+  let sim = Sim.create ~config () in
+  let cluster = Sim.cluster sim in
+  let _garbage = Topology.ring cluster ~procs:[ 0; 1; 2 ] in
+  let _live = Topology.rooted_ring cluster ~procs:[ 2; 3; 4; 5 ] in
+  let _deep = Topology.chain_into_ring cluster ~procs:[ 1; 3; 5 ] in
+  let rt = Sim.rt sim and store = Sim.store sim in
+  let procs = Array.to_list rt.Runtime.procs in
+  let started = ref 0 in
+  for _ = 1 to 30 do
+    Sim.run_for sim 1_500;
+    if by_hand then begin
+      List.iter
+        (fun p ->
+          ignore (Snapshot_store.commit store (Snapshot_store.prepare store p) : Adgc_snapshot.Summary.t))
+        procs;
+      List.iteri
+        (fun i _ -> started := !started + Adgc_dcda.Detector.scan (Sim.detector sim i))
+        procs;
+      List.iter
+        (fun p ->
+          ignore (Snapshot_store.commit store (Snapshot_store.prepare store p) : Adgc_snapshot.Summary.t))
+        procs;
+      List.iter (fun p -> ignore (Lgc.apply rt (Lgc.plan rt p) : Lgc.report)) procs;
+      List.iter (fun p -> Reflist.send_new_sets rt p) procs
+    end
+    else begin
+      Sim.snapshot_all sim;
+      started := !started + Sim.scan_all sim;
+      Sim.run_gc_cycle sim
+    end
+  done;
+  let garbage = Sim.garbage_count sim in
+  Sim.teardown sim;
+  ( garbage,
+    Json.to_string (Stats.to_json (Sim.stats sim)),
+    Export.span_digest (Sim.obs sim),
+    Oid.Set.elements (Sim.live_oids sim),
+    !started )
+
+let test_bulk_helpers_match_layered_loop () =
+  let garbage_b, stats_b, spans_b, live_b, started_b = bulk_round_run ~by_hand:false in
+  let garbage_h, stats_h, spans_h, live_h, started_h = bulk_round_run ~by_hand:true in
+  check Alcotest.bool "detections were started" true (started_b > 0);
+  check Alcotest.int "bulk rounds collected the garbage" 0 garbage_b;
+  check Alcotest.int "same garbage left" garbage_h garbage_b;
+  check Alcotest.int "same detections started" started_h started_b;
+  check Alcotest.string "same stats" stats_h stats_b;
+  check Alcotest.string "same span digest" spans_h spans_b;
+  check Alcotest.(list string) "same survivors"
+    (List.map Oid.to_string live_h) (List.map Oid.to_string live_b)
 
 (* ---------------------------------------------------------------- *)
 (* The in-flight-reply race (satellite of the shared-tracer move): an
@@ -188,12 +166,12 @@ let test_clean_poll_stays_correct () =
   Sim.teardown sim
 
 let suite =
-  ( "engine",
+  ( "kernel",
     [
-      Alcotest.test_case "cross-engine equivalence matrix" `Slow test_cross_engine_equivalence;
-      Alcotest.test_case "engine names and env parsing" `Quick test_engine_names;
       Alcotest.test_case "snapshot prepare touches no shared state" `Quick
         test_prepare_touches_no_shared_state;
+      Alcotest.test_case "bulk helpers match the layered loop" `Quick
+        test_bulk_helpers_match_layered_loop;
       Alcotest.test_case "in-flight reply target is not pinned" `Quick
         test_inflight_reply_target_not_pinned;
       Alcotest.test_case "clean poll skips when quiet" `Quick test_clean_poll_skips_when_quiet;

@@ -21,7 +21,7 @@ let () =
       Test_matrix.suite;
       Test_faults_matrix.suite;
       Test_sim.suite;
-      Test_engine.suite;
+      Test_kernel.suite;
       Test_group.suite;
       Test_replay.suite;
       Test_schema.suite;

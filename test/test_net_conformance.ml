@@ -33,9 +33,8 @@ let oid_set =
 let violations = Alcotest.list (Alcotest.testable Adgc_check.Invariant.pp ( = ))
 
 (* Node processes are spawned by exec'ing the real [adgc_sim serve]
-   binary, never [Fork]: OCaml forbids [Unix.fork] for the rest of the
-   process once any domain has ever been spawned, and earlier suites
-   (the Par engine tests) do spawn pool domains. *)
+   binary, never [Fork], so the suite drives the node binary the CLI
+   ships. *)
 let spawn () =
   let exe =
     match Sys.getenv_opt "ADGC_SIM_EXE" with

@@ -32,7 +32,7 @@ let doc ?(rev = "test") ?(smoke = true) samples =
   {
     Results.rev;
     smoke;
-    host = { Results.cores = 1; worker_domains = 1 };
+    host = { Results.cores = 1 };
     sections = [ ("t", samples) ];
   }
 
@@ -156,6 +156,28 @@ let test_doc_roundtrip_and_determinism () =
         (Results.normalize d = d');
       check Alcotest.string "rendering is canonical" (Results.to_string d)
         (Results.to_string d')
+
+(* Documents written while the host block still recorded a worker
+   domain count must keep loading; the field is dropped on read. *)
+let test_doc_ignores_worker_domains () =
+  let d = doc [ sample ~name:"a" 1.0 ] in
+  let legacy =
+    match Results.to_json d with
+    | Json.Obj fields ->
+        Json.Obj
+          (List.map
+             (fun (k, v) ->
+               if k = "host" then
+                 (k, Json.Obj [ ("cores", Json.Int 1); ("worker_domains", Json.Int 2) ])
+               else (k, v))
+             fields)
+    | _ -> Alcotest.fail "document is not an object"
+  in
+  match Results.of_string (Json.to_string legacy) with
+  | Error e -> Alcotest.failf "legacy document does not load: %s" e
+  | Ok d' ->
+      check Alcotest.int "cores kept" 1 d'.Results.host.Results.cores;
+      check Alcotest.string "worker_domains dropped" (Results.to_string d) (Results.to_string d')
 
 let test_fingerprint_blanks_timing () =
   let d1 = doc [ sample ~name:"t" 10.0; sample ~name:"d" ~klass:Sample.Deterministic 5.0 ] in
@@ -323,6 +345,8 @@ let suite =
       Alcotest.test_case "sample json roundtrip" `Quick test_sample_roundtrip;
       Alcotest.test_case "document roundtrip is canonical" `Quick
         test_doc_roundtrip_and_determinism;
+      Alcotest.test_case "document load ignores worker_domains" `Quick
+        test_doc_ignores_worker_domains;
       Alcotest.test_case "fingerprint blanks timing values" `Quick
         test_fingerprint_blanks_timing;
       prop_jitter_stable;

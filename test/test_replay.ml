@@ -2,7 +2,10 @@
    exact same run — byte-identical metrics JSON and an identical span
    digest — across detectors and fault profiles.  This pins down both
    the simulator's determinism and the exporters' stability (sorted
-   keys, canonical float rendering, no wall-clock leakage). *)
+   keys, canonical float rendering, no wall-clock leakage).  Two
+   workloads feed it: timer-driven churn, and timers interleaved with
+   the explicit bulk helpers ([Sim.snapshot_all], [Sim.scan_all],
+   [Sim.run_gc_cycle]). *)
 
 module Sim = Adgc.Sim
 module Config = Adgc.Config
@@ -13,21 +16,42 @@ open Adgc_workload
 
 let check = Alcotest.check
 
-let run_once ?(candidates = Config.Scan_candidates) ~seed ~detector ~faulty () =
+type workload = Churn_run | Bulk_run
+
+(* [Churn_run]: a garbage ring, a live ring and seeded mutator churn under
+   the timers.  [Bulk_run]: a garbage ring, a live ring and a chain into
+   it, with four explicit bulk rounds between timer stretches. *)
+let run_once ?(candidates = Config.Scan_candidates) ?(workload = Churn_run) ~seed ~detector ~faulty
+    () =
   let n_procs = 6 in
   let config = Config.quick ~seed ~n_procs () in
   let faults =
-    if faulty then Faults.plan_of_profile ~n_procs Faults.Loss_burst else Faults.none
+    match (faulty, workload) with
+    | false, _ -> Faults.none
+    | true, Churn_run -> Faults.plan_of_profile ~n_procs Faults.Loss_burst
+    | true, Bulk_run -> Faults.plan_of_profile ~start:1_000 ~stop:4_000 ~n_procs Faults.Loss_burst
   in
   let config = { config with Config.detector; candidates; faults; telemetry = true } in
   let sim = Sim.create ~config () in
   let cluster = Sim.cluster sim in
   let _garbage = Topology.ring cluster ~procs:[ 0; 1; 2 ] in
-  let _live = Topology.rooted_ring cluster ~procs:[ 3; 4 ] in
-  let churn = Churn.create ~cluster ~rng:(Adgc_util.Rng.create ((seed * 7) + 1)) () in
-  Churn.run churn ~steps:200 ~every:23;
-  Sim.start sim;
-  Sim.run_for sim 20_000;
+  (match workload with
+  | Churn_run ->
+      let _live = Topology.rooted_ring cluster ~procs:[ 3; 4 ] in
+      let churn = Churn.create ~cluster ~rng:(Adgc_util.Rng.create ((seed * 7) + 1)) () in
+      Churn.run churn ~steps:200 ~every:23;
+      Sim.start sim;
+      Sim.run_for sim 20_000
+  | Bulk_run ->
+      let _live = Topology.rooted_ring cluster ~procs:[ 2; 3; 4; 5 ] in
+      let _deep = Topology.chain_into_ring cluster ~procs:[ 1; 3; 5 ] in
+      Sim.start sim;
+      for _ = 1 to 4 do
+        Sim.run_for sim 1_500;
+        Sim.snapshot_all sim;
+        ignore (Sim.scan_all sim : int);
+        Sim.run_gc_cycle sim
+      done);
   Sim.teardown sim;
   let metrics = Json.to_string (Export.metrics_document (Sim.stats sim)) in
   let digest = Export.span_digest (Sim.obs sim) in
@@ -40,23 +64,26 @@ let detector_name = function
 
 let test_replay_identical () =
   List.iter
-    (fun detector ->
+    (fun (wname, workload, seeds) ->
       List.iter
-        (fun faulty ->
+        (fun detector ->
           List.iter
-            (fun seed ->
-              let label =
-                Printf.sprintf "%s/%s/seed=%d" (detector_name detector)
-                  (if faulty then "bursty" else "no-faults")
-                  seed
-              in
-              let m1, d1 = run_once ~seed ~detector ~faulty () in
-              let m2, d2 = run_once ~seed ~detector ~faulty () in
-              check Alcotest.string (label ^ ": metrics JSON") m1 m2;
-              check Alcotest.string (label ^ ": span digest") d1 d2)
-            [ 3; 17; 42 ])
-        [ false; true ])
-    [ Config.Dcda; Config.Backtrack ]
+            (fun faulty ->
+              List.iter
+                (fun seed ->
+                  let label =
+                    Printf.sprintf "%s/%s/%s/seed=%d" wname (detector_name detector)
+                      (if faulty then "bursty" else "no-faults")
+                      seed
+                  in
+                  let m1, d1 = run_once ~workload ~seed ~detector ~faulty () in
+                  let m2, d2 = run_once ~workload ~seed ~detector ~faulty () in
+                  check Alcotest.string (label ^ ": metrics JSON") m1 m2;
+                  check Alcotest.string (label ^ ": span digest") d1 d2)
+                seeds)
+            [ false; true ])
+        [ Config.Dcda; Config.Backtrack ])
+    [ ("churn", Churn_run, [ 3; 17; 42 ]); ("bulk", Bulk_run, [ 7; 21 ]) ]
 
 let test_seeds_actually_differ () =
   (* Guard against a trivially-constant export: different seeds must
@@ -94,7 +121,7 @@ let test_incremental_byte_identical () =
 let suite =
   ( "replay",
     [
-      Alcotest.test_case "same seed, same bytes (12 scenarios)" `Quick test_replay_identical;
+      Alcotest.test_case "same seed, same bytes (20 scenarios)" `Quick test_replay_identical;
       Alcotest.test_case "different seeds, different runs" `Quick test_seeds_actually_differ;
       Alcotest.test_case "incremental candidates are byte-identical (6 scenarios)" `Quick
         test_incremental_byte_identical;
