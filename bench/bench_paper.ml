@@ -422,54 +422,6 @@ let bench_heuristics () =
   print_endline "abort downstream; patient ones trade reclamation latency for quiet wires"
 
 (* ------------------------------------------------------------------ *)
-(* E14: incremental vs full summarization under sparse mutation.       *)
-
-let bench_incremental () =
-  section "E14: incremental summarization under sparse mutation";
-  let objects = 5_000 in
-  let rows =
-    List.map
-      (fun mutations ->
-        let cluster = Cluster.create ~n:2 () in
-        let rng = Adgc_util.Rng.create 23 in
-        let _built =
-          Topology.random cluster ~rng ~objects ~edges:(2 * objects) ~remote_prob:0.05
-            ~root_prob:0.05
-        in
-        let p = Cluster.proc cluster 0 in
-        let state = Summarize.Incremental.create () in
-        ignore (Summarize.Incremental.run state ~now:0 p : Adgc_snapshot.Summary.t);
-        (* Sparse mutation: relink a few objects. *)
-        let heap = p.Adgc_rt.Process.heap in
-        let objs = Heap.fold heap ~init:[] ~f:(fun acc o -> o :: acc) |> Array.of_list in
-        for i = 1 to mutations do
-          let a = objs.(i * 97 mod Array.length objs) in
-          let b = objs.(i * 31 mod Array.length objs) in
-          ignore (Heap.add_ref heap a b.Heap.oid : int)
-        done;
-        let _, inc_ms =
-          wall_ms (fun () -> ignore (Summarize.Incremental.run state ~now:1 p : Adgc_snapshot.Summary.t))
-        in
-        let _, full_ms =
-          wall_ms (fun () ->
-              ignore (Summarize.run ~algo:Summarize.Naive ~now:1 p : Adgc_snapshot.Summary.t))
-        in
-        [
-          string_of_int mutations;
-          Printf.sprintf "%.2f ms" full_ms;
-          Printf.sprintf "%.2f ms" inc_ms;
-          string_of_int (Summarize.Incremental.last_recomputed state);
-          string_of_int (Summarize.Incremental.last_reused state);
-        ])
-      [ 0; 5; 50; 500 ]
-  in
-  Table.print
-    ~header:[ "mutations"; "full resummarize"; "incremental"; "regions re-traced"; "reused" ]
-    ~rows ();
-  print_endline "the paper performs summarization \"lazily and incrementally\"; with few";
-  print_endline "mutations the incremental form re-traces only the touched regions"
-
-(* ------------------------------------------------------------------ *)
 (* E15: the cost of retained garbage (the paper's introduction).       *)
 
 let bench_garbage_cost () =
@@ -812,7 +764,6 @@ let sections =
     ("deletion_modes", bench_deletion_modes);
     ("hughes_compare", bench_hughes_compare);
     ("heuristics", bench_heuristics);
-    ("incremental", bench_incremental);
     ("garbage_cost", bench_garbage_cost);
     ("leases", bench_leases);
     ("pstore", bench_pstore);

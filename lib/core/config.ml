@@ -2,25 +2,7 @@ type detector_kind = Dcda | Backtrack | Hughes_gc | No_detector
 
 type engine_kind = Seq
 
-type candidates_kind = Scan_candidates | Incremental_candidates
-
-let candidates_of_string s =
-  match String.lowercase_ascii (String.trim s) with
-  | "scan" | "full" | "full_scan" -> Some Scan_candidates
-  | "incremental" | "inc" -> Some Incremental_candidates
-  | _ -> None
-
-let candidates_to_string = function
-  | Scan_candidates -> "scan"
-  | Incremental_candidates -> "incremental"
-
-(* ADGC_CANDIDATES steers whole test binaries through the
-   environment, and an unrecognised value falls back to the full-scan
-   oracle path. *)
-let candidates_of_env () =
-  match Sys.getenv_opt "ADGC_CANDIDATES" with
-  | Some s -> ( match candidates_of_string s with Some c -> c | None -> Scan_candidates)
-  | None -> Scan_candidates
+type candidates_kind = Scan_candidates
 
 (* Group size 0 means the flat clique; 1 would be a clique of
    singleton groups — operationally identical — so it normalises to 0
@@ -51,7 +33,6 @@ type t = {
   detector : detector_kind;
   codec : Adgc_serial.Codec.t;
   summarize : Adgc_snapshot.Summarize.algo;
-  incremental_snapshots : bool;
   bt_timeout : int;
   bt_idle_threshold : int;
   telemetry : bool;
@@ -76,12 +57,11 @@ let default ?(seed = 42) ?(n_procs = 4) () =
     detector = Dcda;
     codec = (module Adgc_serial.Net_codec : Adgc_serial.Codec.S);
     summarize = Adgc_snapshot.Summarize.Condensed;
-    incremental_snapshots = false;
     bt_timeout = 50_000;
     bt_idle_threshold = 2_000;
     telemetry = false;
     engine = Seq;
-    candidates = candidates_of_env ();
+    candidates = Scan_candidates;
   }
 
 let quick ?(seed = 42) ?(n_procs = 4) () =

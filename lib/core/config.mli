@@ -12,26 +12,12 @@ type engine_kind = Seq
     the {!t.engine} field remain only because the benchmark in
     [perfbench/] sets [engine = Seq] explicitly. *)
 
-type candidates_kind =
-  | Scan_candidates
-      (** DCDA scans seed from every scion of the published summary
-          (the full-scan oracle path) *)
-  | Incremental_candidates
-      (** DCDA scans seed from the incrementally maintained candidate
-          labels ({!Adgc_dcda.Candidates}), byte-identical to the
-          full scan and pinned so by the audit duty *)
-
-val candidates_of_string : string -> candidates_kind option
-(** Accepts ["scan"]/["full"]/["full_scan"] and
-    ["incremental"]/["inc"], case- and whitespace-insensitively. *)
-
-val candidates_to_string : candidates_kind -> string
-
-val candidates_of_env : unit -> candidates_kind
-(** Mode selected by the [ADGC_CANDIDATES] environment variable
-    ([Scan_candidates] when unset or unrecognised).  {!default} uses
-    this, so the CI candidates matrix can steer whole test binaries
-    without touching code. *)
+type candidates_kind = Scan_candidates
+(** DCDA scans seed from the maintained candidate labels
+    ({!Adgc_dcda.Candidates}), which the audit duty pins equal to the
+    scan-derived set; this is the only value.  The type and the
+    {!t.candidates} field remain only because the benchmark in
+    [perfbench/] sets [candidates = Scan_candidates] explicitly. *)
 
 val groups_of_string : string -> int option
 (** Group size for the hierarchical overlay: ["off"]/["flat"]/["none"]
@@ -45,8 +31,7 @@ val groups_of_env : unit -> int
 (** Group size selected by the [ADGC_GROUPS] environment variable (0 =
     flat when unset or unrecognised).  {!default} folds this into
     [runtime.group_size] (with [group_relay] on for sizes [> 1]), so
-    the CI groups matrix steers whole test binaries like the
-    candidates matrix does. *)
+    the CI groups matrix steers whole test binaries. *)
 
 type t = {
   seed : int;
@@ -60,19 +45,13 @@ type t = {
   detector : detector_kind;
   codec : Adgc_serial.Codec.t;  (** snapshot serialization codec *)
   summarize : Adgc_snapshot.Summarize.algo;
-  incremental_snapshots : bool;
-      (** use the dirty-region incremental summarizer instead of full
-          re-summarization at every snapshot *)
   bt_timeout : int;  (** back-tracing initiator/state timeout *)
   bt_idle_threshold : int;
   telemetry : bool;
       (** enable structured spans and detection lineage (see
           {!Adgc_obs}); default off — every hook is then one branch *)
   engine : engine_kind;  (** always [Seq]; see {!engine_kind} *)
-  candidates : candidates_kind;
-      (** candidate source for DCDA scans (default:
-          {!candidates_of_env}, i.e. [Scan_candidates] unless
-          [ADGC_CANDIDATES] says otherwise) *)
+  candidates : candidates_kind;  (** always [Scan_candidates]; see {!candidates_kind} *)
 }
 
 val default : ?seed:int -> ?n_procs:int -> unit -> t

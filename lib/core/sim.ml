@@ -28,21 +28,13 @@ let create ?config () =
   in
   let rt = Cluster.rt cluster in
   let store =
-    Snapshot_store.create ~codec:config.Config.codec ~algo:config.Config.summarize
-      ~incremental:config.Config.incremental_snapshots rt
+    Snapshot_store.create ~codec:config.Config.codec ~algo:config.Config.summarize rt
   in
   let detectors =
     match config.Config.detector with
     | Config.Dcda ->
-        let candidates_mode =
-          match config.Config.candidates with
-          | Config.Scan_candidates -> Detector.Full_scan
-          | Config.Incremental_candidates -> Detector.Incremental
-        in
         let arr =
-          Array.map
-            (fun p -> Detector.attach ~candidates_mode rt p ~policy:config.Config.policy)
-            rt.Runtime.procs
+          Array.map (fun p -> Detector.attach rt p ~policy:config.Config.policy) rt.Runtime.procs
         in
         Snapshot_store.subscribe store (fun summary ->
             let i = Proc_id.to_int summary.Adgc_snapshot.Summary.proc in

@@ -5,13 +5,10 @@ module Stats = Adgc_util.Stats
 module Span = Adgc_obs.Span
 module Lineage = Adgc_obs.Lineage
 
-type candidates_mode = Full_scan | Incremental
-
 type t = {
   rt : Runtime.t;
   proc : Process.t;
   policy : Policy.t;
-  mode : candidates_mode;
   candidates : Candidates.t;
   mutable summary : Summary.t option;
   mutable next_seq : int;
@@ -43,8 +40,6 @@ let set_summary t summary =
 let summary t = t.summary
 
 let candidates t = t.candidates
-
-let mode t = t.mode
 
 let reports t = List.rev t.reports
 
@@ -427,17 +422,13 @@ let arrange t candidates =
       Adgc_util.Rng.shuffle t.proc.Process.rng arr;
       Array.to_list arr
 
-(* The candidate source depends on the mode: [Full_scan] walks every
-   scion of the published summary (the oracle path); [Incremental]
-   walks only the keys the candidate maintainer froze when that same
-   summary was published.  Both lists are in ascending key order and
-   the frozen set equals exactly the summary's not-locally-reachable
-   scions (the audit duty asserts it), so the downstream filters,
-   arrangement, pick and cursor update are byte-identical. *)
+(* The candidate source is the set of keys the candidate maintainer
+   froze when the current summary was published, in ascending key
+   order.  That set equals the summary's not-locally-reachable scions
+   (the audit duty checks the maintainer against a full root trace),
+   so a scan never walks the summary's whole scion list. *)
 let scan_source t summary =
-  match t.mode with
-  | Full_scan -> Summary.scion_list summary
-  | Incremental -> List.filter_map (Summary.find_scion summary) (Candidates.published t.candidates)
+  List.filter_map (Summary.find_scion summary) (Candidates.published t.candidates)
 
 (* A scan evaluates the published summary against the policy, picks
    this round's candidates (advancing the rotating cursor) and starts
@@ -475,11 +466,9 @@ let scan t =
         (fun acc (si : Summary.scion_info) -> if initiate t si.Summary.key then acc + 1 else acc)
         0 picked
 
-(* The full-scan audit duty: recompute the candidate set from scratch
-   and compare with the maintained one.  Runs in every mode — it is
-   cheap at its low frequency, and keeping it mode-independent keeps
-   the stats table (and with it the metrics document) byte-identical
-   between modes. *)
+(* The audit duty: recompute the candidate set from scratch with a
+   full root trace and compare with the maintained one.  It is cheap
+   at its low frequency. *)
 let audit_candidates t =
   match Candidates.audit t.candidates with
   | None -> true
@@ -490,13 +479,12 @@ let audit_candidates t =
         (Ref_key.Set.cardinal only_scan);
       false
 
-let attach ?(candidates_mode = Full_scan) rt proc ~policy =
+let attach rt proc ~policy =
   let t =
     {
       rt;
       proc;
       policy;
-      mode = candidates_mode;
       candidates = Candidates.attach ~stats:rt.Runtime.stats proc;
       summary = None;
       next_seq = 0;

@@ -23,36 +23,18 @@ open Adgc_algebra
 
 type t
 
-type candidates_mode =
-  | Full_scan
-      (** seed scans from every scion of the published summary — the
-          oracle path *)
-  | Incremental
-      (** seed scans from the incrementally maintained candidate set
-          ({!Candidates}), frozen at each summary publish; pinned
-          byte-identical to [Full_scan] by the audit duty and the
-          parity tests *)
-
-val attach :
-  ?candidates_mode:candidates_mode ->
-  Adgc_rt.Runtime.t ->
-  Adgc_rt.Process.t ->
-  policy:Policy.t ->
-  t
-(** Create the instance and install its message hooks on the process.
-    A {!Candidates} maintainer is attached in every mode (so stats —
-    and the metrics document built from them — do not depend on the
-    mode); [candidates_mode] (default [Full_scan]) only selects the
-    scan source. *)
+val attach : Adgc_rt.Runtime.t -> Adgc_rt.Process.t -> policy:Policy.t -> t
+(** Create the instance, attach its {!Candidates} maintainer and
+    install its message hooks on the process.  Scans seed from the
+    candidate set the maintainer froze at the last summary publish
+    ({!Candidates.published}). *)
 
 val proc_id : t -> Proc_id.t
 
 val policy : t -> Policy.t
 
-val mode : t -> candidates_mode
-
 val candidates : t -> Candidates.t
-(** The attached incremental candidate maintainer. *)
+(** The attached incremental candidate maintainer: the scan source. *)
 
 val audit_candidates : t -> bool
 (** Run the full-scan audit ({!Candidates.audit}); [false] — plus a

@@ -125,7 +125,7 @@ let all =
     {
       mutant = "drop_label_updates";
       descr = "incremental candidate maintainer goes deaf to heap edge/root events";
-      scenario = "two_proc_cycle_incremental";
+      scenario = "two_proc_cycle";
       strategy = Safety;
       caps = None;
       (* With every heap event dropped, P0's root region never grows
@@ -134,7 +134,7 @@ let all =
          candidate while a full root trace says it is reachable — the
          per-step audit invariant catches the divergence on the very
          first action.  Safety here means label exactness, the
-         property the incremental scan's correctness rests on. *)
+         property the scan source's correctness rests on. *)
       witness = [ Action.Snapshot 0 ];
     };
     {

@@ -9,7 +9,6 @@ type t = {
   name : string;
   descr : string;
   n_procs : int;
-  candidates : Adgc.Config.candidates_kind option;
   groups : int option;
   caps : caps;
   setup : Adgc.Sim.t -> instance;

@@ -31,11 +31,6 @@ type t = {
   name : string;
   descr : string;
   n_procs : int;
-  candidates : Adgc.Config.candidates_kind option;
-      (** pin the DCDA candidate source for this scenario; [None]
-          inherits the ambient config (the [ADGC_CANDIDATES]
-          environment variable), so the CI candidate matrix also
-          sweeps the unpinned scenarios *)
   groups : int option;
       (** pin the hierarchical group size; [None] inherits the ambient
           config ([ADGC_GROUPS]), so the CI groups dimension also

@@ -11,15 +11,11 @@
 val two_proc_cycle : Scenario.t
 (** Two processes, root [R -> A] at P0, remote cycle [A <-> B] with B
     at P1; one scripted mutation unlinks [R -> A].  The paper's
-    canonical distributed garbage cycle. *)
-
-val two_proc_cycle_incremental : Scenario.t
-(** {!two_proc_cycle} with the candidate source pinned to
-    [Incremental_candidates].  The audit invariant checked after every
-    {!System.apply} step turns exhaustive exploration into a proof
-    that the incremental labels match an independent full root trace
-    in every reachable state of the scope; the [drop_label_updates]
-    mutant is killed here. *)
+    canonical distributed garbage cycle.  The audit invariant checked
+    after every {!System.apply} step turns exhaustive exploration into
+    a proof that the maintained candidate labels (the scan source)
+    match an independent full root trace in every reachable state of
+    the scope; the [drop_label_updates] mutant is killed here. *)
 
 val ic_race : Scenario.t
 (** Two processes, root [R -> D] at P0, remote cycle [D <-> F]; the

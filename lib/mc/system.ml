@@ -35,11 +35,6 @@ let create ?mutant ?caps (scenario : Scenario.t) =
   let caps = match caps with Some c -> c | None -> scenario.Scenario.caps in
   let config = Config.mc ~n_procs:scenario.Scenario.n_procs () in
   let config =
-    match scenario.Scenario.candidates with
-    | None -> config (* inherit ADGC_CANDIDATES via Config.default *)
-    | Some candidates -> { config with Config.candidates }
-  in
-  let config =
     match scenario.Scenario.groups with
     | None -> config (* inherit ADGC_GROUPS via Config.default *)
     | Some g -> Config.with_groups config g
@@ -206,12 +201,13 @@ let perform t (a : Action.t) =
             t.drops_used <- t.drops_used + 1;
             Ok ())
 
-(* The candidate maintainer runs in every mode, so its audit is an
-   invariant of every explored state: the incrementally maintained
-   candidate set must equal one recomputed from an independent full
-   root trace.  The audit only refreshes internal labels (never the
-   frozen [published] list), so checking it after each action does
-   not perturb the explored behaviour or the fingerprint. *)
+(* The candidate maintainer is the detector's scan source, so its
+   audit is an invariant of every explored state: the incrementally
+   maintained candidate set must equal one recomputed from an
+   independent full root trace.  The audit only refreshes internal
+   labels (never the frozen [published] list), so checking it after
+   each action does not perturb the explored behaviour or the
+   fingerprint. *)
 let audit_violations t =
   List.concat
     (List.init t.n_procs (fun i ->

@@ -63,16 +63,15 @@ type t = {
   procs : int;
   seed : int;
   detector : Config.detector_kind;
-  candidates : Config.candidates_kind;
   groups : int;
   objects : int;
   edges : int;
 }
 
 let make ?(topology = Ring) ?(procs = 4) ?(seed = 42) ?(detector = Config.Dcda)
-    ?(candidates = Config.Scan_candidates) ?groups ?(objects = 100) ?(edges = 200) () =
+    ?groups ?(objects = 100) ?(edges = 200) () =
   let groups = match groups with Some g -> g | None -> Config.groups_of_env () in
-  { topology; procs; seed; detector; candidates; groups; objects; edges }
+  { topology; procs; seed; detector; groups; objects; edges }
 
 let n_procs t = Int.max t.procs (min_procs t.topology)
 
@@ -107,9 +106,7 @@ let build_topology t cluster =
 
 let build ?(telemetry = false) t =
   let config = Config.quick ~seed:t.seed ~n_procs:(n_procs t) () in
-  let config =
-    { config with Config.detector = t.detector; candidates = t.candidates; telemetry }
-  in
+  let config = { config with Config.detector = t.detector; telemetry } in
   let config = Config.with_groups config t.groups in
   let sim = Sim.create ~config () in
   let built = build_topology t (Sim.cluster sim) in

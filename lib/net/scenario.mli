@@ -34,10 +34,6 @@ type t = {
   procs : int;  (** raised to {!min_procs} at build time *)
   seed : int;
   detector : Adgc.Config.detector_kind;
-  candidates : Adgc.Config.candidates_kind;
-      (** DCDA candidate source; shipped to every node (the
-          coordinator passes [--candidates]) so all ranks seed their
-          scans the same way *)
   groups : int;
       (** hierarchical group size ([0] = flat); part of the spec so
           the coordinator ships it to every node ([--groups]) and all
@@ -51,15 +47,13 @@ val make :
   ?procs:int ->
   ?seed:int ->
   ?detector:Adgc.Config.detector_kind ->
-  ?candidates:Adgc.Config.candidates_kind ->
   ?groups:int ->
   ?objects:int ->
   ?edges:int ->
   unit ->
   t
-(** Defaults: [Ring], 4 processes, seed 42, DCDA, full-scan
-    candidates, groups from [ADGC_GROUPS] (flat when unset), 100
-    objects / 200 edges. *)
+(** Defaults: [Ring], 4 processes, seed 42, DCDA, groups from
+    [ADGC_GROUPS] (flat when unset), 100 objects / 200 edges. *)
 
 val n_procs : t -> int
 (** [max procs (min_procs topology)] — what [build] actually creates. *)

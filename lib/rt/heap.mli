@@ -41,7 +41,8 @@ val generation : t -> int
 (** Bumped whenever the object population changes (allocation or
     removal).  The dense tracer — and anything else caching per-object
     state — checks it to decide whether a resync is due.  Reference
-    mutations do not bump it; they go through the dirty log. *)
+    mutations do not bump it; they update the dense adjacency in
+    place and fire {!event}s. *)
 
 val mutations : t -> int
 (** Monotonic counter bumped by {e every} reachability-relevant change
@@ -115,31 +116,11 @@ val iter : t -> (obj -> unit) -> unit
 
 val fold : t -> init:'a -> f:('a -> obj -> 'a) -> 'a
 
-(** {1 Mutation tracking}
-
-    Every reference mutation marks the holding object dirty and root
-    changes raise a flag; the incremental summarizer consumes this log
-    to decide which scion regions to re-trace.  Allocation alone does
-    not dirty anything (a fresh object is unreachable until linked,
-    and the link marks the holder), and neither does {!remove} (the
-    collector only removes objects no scion or root can reach, so no
-    cached region contains them). *)
-
-val take_dirty : t -> Oid.Set.t * bool
-(** Objects whose fields changed since the last call, and whether the
-    root set changed; clears the log.  Intended for a single consumer
-    per heap. *)
-
-val dirty_pending : t -> int
-(** Size of the current log (diagnostics). *)
-
 (** {1 Mutation events}
 
-    Edge-level change notifications, orthogonal to the dirty log
-    (which is a single-consumer set of {e objects} to re-trace; these
-    are per-{e edge} deltas fanned out to any number of observers).
-    The incremental candidate maintainer subscribes to keep its
-    root-region labels in step with the graph. *)
+    Edge-level change notifications: per-{e edge} deltas fanned out to
+    any number of observers.  The incremental candidate maintainer
+    subscribes to keep its root-region labels in step with the graph. *)
 
 type event =
   | Edge_added of Oid.t * Oid.t

@@ -268,11 +268,6 @@ let send t (msg : Msg.t) =
           end
         end
 
-let in_flight t =
-  Hashtbl.fold (fun id m acc -> (id, m) :: acc) t.in_flight []
-  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-  |> List.map snd
-
 let in_flight_count t = Hashtbl.length t.in_flight
 
 let in_flight_on t ~src ~dst =

@@ -88,14 +88,10 @@ val block_link : t -> Proc_id.t -> Proc_id.t -> unit
 
 val unblock_link : t -> Proc_id.t -> Proc_id.t -> unit
 
-val in_flight : t -> Msg.t list
-(** Sorted by injection id (send order).  {b Tests and the model
-    checker only}: this materialises and sorts the whole registry
-    (O(n log n) per call), so nothing on a runtime, oracle or stats
-    hot path may use it — those go through the O(1) views below
-    ({!in_flight_count}, {!in_flight_on}, {!iter_in_flight_live_refs}),
-    which are maintained incrementally as envelopes enter and leave
-    the wire. *)
+(** {2 In-flight views}
+
+    Maintained incrementally as envelopes enter and leave the wire;
+    runtime, oracle and stats paths use these, never {!pending}. *)
 
 val in_flight_count : t -> int
 (** O(1). *)
@@ -114,11 +110,14 @@ val iter_in_flight_live_refs : t -> (Oid.t -> unit) -> unit
 val in_flight_live_ref_count : t -> int
 (** Number of distinct in-flight live references.  O(1). *)
 
-(** {2 Manual delivery} — only meaningful in {!Manual} mode. *)
+(** {2 Manual delivery} — [deliver_one] and [drop_one] are only
+    meaningful in {!Manual} mode. *)
 
 val pending : t -> (int * Msg.t) list
-(** Parked envelopes with their injection ids, sorted by id (send
-    order).  The id is the handle for [deliver_one] / [drop_one]. *)
+(** Every in-flight envelope with its injection id, sorted by id (send
+    order).  The id is the handle for [deliver_one] / [drop_one].
+    {b Tests and the model checker only}: this materialises and sorts
+    the whole registry (O(n log n) per call). *)
 
 val deliver_one : t -> int -> unit
 (** Dispatch that parked envelope now.  Raises [Invalid_argument] on

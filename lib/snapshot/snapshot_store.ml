@@ -7,12 +7,11 @@ type t = {
   codec : Adgc_serial.Codec.t;
   direct : bool; (* codec is Net_codec: use Summary's direct wire path *)
   algo : Summarize.algo;
-  inc_states : (int, Summarize.Incremental.state) Hashtbl.t option;
   store : (int, Summary.t * string) Hashtbl.t; (* proc -> summary, encoded bytes *)
   mutable subscribers : (Summary.t -> unit) list;
 }
 
-let create ?codec ?(algo = Summarize.Condensed) ?(incremental = false) rt =
+let create ?codec ?(algo = Summarize.Condensed) rt =
   let codec =
     match codec with Some c -> c | None -> (module Adgc_serial.Net_codec : Adgc_serial.Codec.S)
   in
@@ -21,25 +20,9 @@ let create ?codec ?(algo = Summarize.Condensed) ?(incremental = false) rt =
     codec;
     direct = String.equal (Adgc_serial.Codec.name codec) Adgc_serial.Net_codec.name;
     algo;
-    inc_states = (if incremental then Some (Hashtbl.create 16) else None);
     store = Hashtbl.create 16;
     subscribers = [];
   }
-
-let summarize t ~now (p : Process.t) =
-  match t.inc_states with
-  | None -> Summarize.run ~algo:t.algo ~now p
-  | Some states ->
-      let i = Proc_id.to_int p.Process.id in
-      let state =
-        match Hashtbl.find_opt states i with
-        | Some s -> s
-        | None ->
-            let s = Summarize.Incremental.create () in
-            Hashtbl.add states i s;
-            s
-      in
-      Summarize.Incremental.run state ~now p
 
 type prepared = {
   p_proc : Process.t;
@@ -50,11 +33,11 @@ type prepared = {
 }
 
 (* The pure per-process phase: summarize, encode and round-trip
-   decode.  Reads only [p]'s heap and tables (plus this store's
-   per-process incremental state) and touches no shared sink. *)
+   decode.  Reads only [p]'s heap and tables and touches no shared
+   sink. *)
 let prepare t (p : Process.t) =
   let now = Runtime.now t.rt in
-  let summary = summarize t ~now p in
+  let summary = Summarize.run ~algo:t.algo ~now p in
   (* The direct pair writes and reads the same bytes as the generic
      Sval path, which stays the route for every other codec. *)
   let encoded, decoded =

@@ -16,12 +16,9 @@ type t
 val create :
   ?codec:Adgc_serial.Codec.t ->
   ?algo:Summarize.algo ->
-  ?incremental:bool ->
   Adgc_rt.Runtime.t ->
   t
-(** Default codec: the compact one; default algorithm: [Condensed].
-    With [~incremental:true] each process gets a persistent
-    {!Summarize.Incremental} state and [algo] is ignored. *)
+(** Default codec: the compact one; default algorithm: [Condensed]. *)
 
 val take : t -> Adgc_rt.Process.t -> Summary.t
 (** Snapshot one process now; returns (and publishes) the summary.

@@ -3,8 +3,8 @@ open Adgc_rt
 
 type algo = Naive | Condensed
 
-(* Shared post-processing: given [stubs_from] per scion target and the
-   root-trace result, assemble the summary. *)
+(* Naive's post-processing: given [stubs_from] per scion target and
+   the root-trace result, assemble the summary. *)
 let assemble ~now (p : Process.t) ~root_local ~root_remote ~stubs_from_of_target =
   let stub_entries = Stub_table.entries p.Process.stubs in
   let stub_targets =
@@ -345,72 +345,3 @@ let run ?(algo = Condensed) ~now p =
   match algo with
   | Naive -> run_naive ~now p
   | Condensed -> run_condensed ~now p
-
-module Incremental = struct
-  type region = { r_local : Oid.Set.t; r_remote : Oid.Set.t }
-
-  type state = {
-    (* Cached per scion target: the local region its trace covered and
-       the remote references found (= StubsFrom). *)
-    regions : region Oid.Tbl.t;
-    mutable root_region : region option;
-    mutable recomputed : int;
-    mutable reused : int;
-  }
-
-  let create () = { regions = Oid.Tbl.create 32; root_region = None; recomputed = 0; reused = 0 }
-
-  let last_recomputed t = t.recomputed
-
-  let last_reused t = t.reused
-
-  let intersects set dirty = not (Oid.Set.is_empty (Oid.Set.inter set dirty))
-
-  let run t ~now (p : Process.t) =
-    let heap = p.Process.heap in
-    let dirty, roots_dirty = Heap.take_dirty heap in
-    t.recomputed <- 0;
-    t.reused <- 0;
-    (* Root region. *)
-    let root =
-      match t.root_region with
-      | Some r when (not roots_dirty) && not (intersects r.r_local dirty) ->
-          t.reused <- t.reused + 1;
-          r
-      | Some _ | None ->
-          t.recomputed <- t.recomputed + 1;
-          let { Heap.local; remote } = Heap.trace heap ~from:(Heap.roots heap) in
-          let r = { r_local = local; r_remote = remote } in
-          t.root_region <- Some r;
-          r
-    in
-    (* Per-scion-target regions: refresh stale ones, drop vanished
-       targets, trace new ones. *)
-    let wanted =
-      List.fold_left
-        (fun acc (e : Scion_table.entry) -> Oid.Set.add e.Scion_table.key.Ref_key.target acc)
-        Oid.Set.empty
-        (Scion_table.entries p.Process.scions)
-    in
-    let vanished =
-      Oid.Tbl.fold
-        (fun target _ acc -> if Oid.Set.mem target wanted then acc else target :: acc)
-        t.regions []
-    in
-    List.iter (Oid.Tbl.remove t.regions) vanished;
-    Oid.Set.iter
-      (fun target ->
-        match Oid.Tbl.find_opt t.regions target with
-        | Some r when not (intersects r.r_local dirty) -> t.reused <- t.reused + 1
-        | Some _ | None ->
-            t.recomputed <- t.recomputed + 1;
-            let { Heap.local; remote } = Heap.trace heap ~from:[ target ] in
-            Oid.Tbl.replace t.regions target { r_local = local; r_remote = remote })
-      wanted;
-    let stubs_from_of_target target =
-      match Oid.Tbl.find_opt t.regions target with
-      | Some r -> r.r_remote
-      | None -> Oid.Set.empty
-    in
-    assemble ~now p ~root_local:root.r_local ~root_remote:root.r_remote ~stubs_from_of_target
-end

@@ -28,30 +28,3 @@ type algo = Naive | Condensed
 
 val run : ?algo:algo -> now:int -> Adgc_rt.Process.t -> Summary.t
 (** Default algorithm: [Condensed]. *)
-
-(** Incremental summarization — the paper's "performed, lazily and
-    incrementally, in each process" (§4), implemented with dirty-region
-    tracking: the heap logs which objects' fields changed
-    ({!Adgc_rt.Heap.take_dirty}); a scion's [StubsFrom] is re-traced
-    only when its cached region intersects the dirty set (any edge
-    change that alters reachability from a scion necessarily dirties
-    an object inside the old region).  Invocation counters and table
-    membership are always refreshed from the live tables — they are
-    cheap.  Produces summaries identical to a full run (a qcheck
-    property). *)
-module Incremental : sig
-  type state
-  (** Per-process cache; create one per process and keep it across
-      runs.  It consumes the heap's dirty log, so give each heap at
-      most one incremental summarizer. *)
-
-  val create : unit -> state
-
-  val run : state -> now:int -> Adgc_rt.Process.t -> Summary.t
-
-  val last_recomputed : state -> int
-  (** Regions re-traced by the most recent run (diagnostics and the
-      E14 benchmark). *)
-
-  val last_reused : state -> int
-end

@@ -1,5 +1,5 @@
 (* The incremental candidate maintainer checked against the full-scan
-   oracle (satellite of the incremental-candidates tentpole):
+   oracle:
 
    - a QCheck property drives a small cluster through arbitrary
      scripted heap/scion churn — edge inserts and cuts, root flips,
@@ -7,6 +7,10 @@
      that {!Adgc_dcda.Candidates.audit} agrees with an independent
      full root trace (label exactness is an invariant, not an
      eventually-property);
+   - a QCheck property runs the DCDA under churn, message loss and
+     crash/restart and checks, at every summary publish, that the
+     detector's scan source ({!Adgc_dcda.Candidates.published}) is
+     exactly the summary's not-locally-reachable scions;
    - a sim-level matrix (3 seeds x {dcda, backtrack-coexistence})
      runs the real churn workload under timers and audits at
      checkpoints, proving the maintainer stays exact while an actual
@@ -171,15 +175,83 @@ let test_property_parity =
        gen_script prop_script_parity)
 
 (* ------------------------------------------------------------------ *)
+(* Property: the scan source matches every published summary.
+
+   The detector seeds its scans from {!Candidates.published}, the set
+   frozen at each summary publish.  Whatever the run does — churn,
+   message loss, a crash and restart — that set must equal the
+   ascending keys of the published summary's scions whose target is
+   not locally reachable: exactly what a walk over the summary would
+   pick.  The store calls the latest subscriber first, so this
+   subscriber runs just before the detector takes the new summary: it
+   checks the pair the previous publish left, and the last pair is
+   checked at the end. *)
+
+let summary_candidates summary =
+  List.filter_map
+    (fun (si : Adgc_snapshot.Summary.scion_info) ->
+      if si.Adgc_snapshot.Summary.target_locally_reachable then None
+      else Some si.Adgc_snapshot.Summary.key)
+    (Adgc_snapshot.Summary.scion_list summary)
+  |> List.sort Ref_key.compare
+
+let gen_publish_run =
+  QCheck2.Gen.(
+    quad (int_bound 999) (oneofl [ 0.0; 0.03; 0.1 ]) bool (int_range 2_000 8_000))
+
+let print_publish_run (seed, loss, crash, at) =
+  Printf.sprintf "seed=%d loss=%.2f crash=%b at=%d" seed loss crash at
+
+let prop_published_matches_summary (seed, loss, crash, at) =
+  let procs = 4 in
+  let config = Config.quick ~seed ~n_procs:procs () in
+  config.Config.net.Network.drop_prob <- loss;
+  let faults =
+    if crash then
+      Faults.plan_of_profile ~start:at ~stop:(at + 6_000) ~n_procs:procs Faults.Crash_restart
+    else Faults.none
+  in
+  let sim = Sim.create ~config:{ config with Config.faults } () in
+  let cluster = Sim.cluster sim in
+  let checked = ref 0 and ok = ref true in
+  let check_proc i =
+    let d = Sim.detector sim i in
+    match Detector.summary d with
+    | None -> ()
+    | Some summary ->
+        incr checked;
+        if summary_candidates summary <> Candidates.published (Detector.candidates d) then
+          ok := false
+  in
+  Adgc_snapshot.Snapshot_store.subscribe (Sim.store sim) (fun summary ->
+      check_proc (Proc_id.to_int summary.Adgc_snapshot.Summary.proc));
+  let _built =
+    Adgc_workload.Topology.random cluster
+      ~rng:(Rng.create (seed + 1))
+      ~objects:60 ~edges:120 ~remote_prob:0.35 ~root_prob:0.15
+  in
+  let churn = Adgc_workload.Churn.create ~cluster ~rng:(Rng.create (seed + 2)) () in
+  Adgc_workload.Churn.run churn ~steps:150 ~every:37;
+  Sim.start sim;
+  Sim.run_for sim 16_000;
+  List.iter check_proc (List.init procs Fun.id);
+  Sim.teardown sim;
+  !ok && !checked > 0
+
+let test_property_published =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make
+       ~name:"published candidates == summary's unreachable scions at every publish" ~count:25
+       ~print:print_publish_run gen_publish_run prop_published_matches_summary)
+
+(* ------------------------------------------------------------------ *)
 (* Sim-level matrix: real workload, real timers, the detector present
    (dcda) or merely coexisting (backtrack). *)
 
 let run_matrix_cell ~seed ~detector =
   let procs = 4 in
   let config = Config.quick ~seed ~n_procs:procs () in
-  let config =
-    { config with Config.detector; candidates = Config.Incremental_candidates }
-  in
+  let config = { config with Config.detector } in
   let sim = Sim.create ~config () in
   let cluster = Sim.cluster sim in
   let maintainers =
@@ -279,6 +351,7 @@ let suite =
   ( "candidates",
     [
       test_property_parity;
+      test_property_published;
       Alcotest.test_case "matrix: 3 seeds x {dcda,backtrack}" `Slow test_matrix;
       Alcotest.test_case "audit catches a deaf maintainer" `Quick
         test_audit_catches_deaf_maintainer;

@@ -620,9 +620,9 @@ let test_duplicate_cdm_ignored () =
   (* Snatch the first CDM off the wire before it lands. *)
   let cdm_msg =
     match
-      List.find_opt
-        (fun (m : Msg.t) -> match m.Msg.payload with Msg.Cdm _ -> true | _ -> false)
-        (Network.in_flight (Cluster.net h.cluster))
+      List.find_map
+        (fun (_, (m : Msg.t)) -> match m.Msg.payload with Msg.Cdm _ -> Some m | _ -> None)
+        (Network.pending (Cluster.net h.cluster))
     with
     | Some m -> m
     | None -> Alcotest.fail "no CDM in flight after initiation"

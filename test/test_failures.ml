@@ -40,7 +40,7 @@ let test_dead_process_is_silent () =
           (fun (m : Msg.t) ->
             if Proc_id.equal m.Msg.src (Proc_id.of_int 0) && m.Msg.sent_at > crashed_at then
               incr originated_dead)
-          (Network.in_flight (Cluster.net cluster)))
+          (List.map snd (Network.pending (Cluster.net cluster))))
   in
   Sim.run_for sim 5_000;
   Scheduler.cancel audit;

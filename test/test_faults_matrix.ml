@@ -47,11 +47,16 @@ let live_ring_intact cluster (built : Topology.built) =
       Heap.mem p.Adgc_rt.Process.heap obj.Heap.oid)
     built.Topology.objects
 
-let run_cell ~profile ~detector ?(candidates = Config.Scan_candidates) ~seed () =
+let run_cell ~profile ~detector ~batching ~seed () =
   let n_procs = 4 in
   let faults = Faults.plan_of_profile ~start:fault_start ~stop:fault_stop ~n_procs profile in
   let config = Config.quick ~seed ~n_procs () in
-  let config = { config with Config.detector; candidates; faults } in
+  let runtime =
+    if batching then
+      { config.Config.runtime with Adgc_rt.Runtime.dgc_batching = true; dgc_batch_window = 40 }
+    else config.Config.runtime
+  in
+  let config = { config with Config.detector; faults; runtime } in
   let sim = Sim.create ~config () in
   let cluster = Sim.cluster sim in
   let oracle = Oracle.install ~window:500 cluster in
@@ -84,13 +89,16 @@ let run_cell ~profile ~detector ?(candidates = Config.Scan_candidates) ~seed () 
         (detector_name detector) seed Oracle.pp_liveness l);
   Oracle.stop oracle;
   Oracle.assert_safe oracle;
-  (* The candidate maintainer runs (and is audited) in every DCDA
-     mode; a mismatch under faults is a label-maintenance bug.  Under
-     crash/restart with incremental candidates the revive hook must
-     have rebuilt the labels from the surviving tables — the
-     stale-label resurrection regression: a restarted process that
-     kept pre-crash labels would resurrect candidates for objects the
-     crash already wiped. *)
+  if batching then
+    Alcotest.(check bool)
+      "DGC traffic travelled batched" true
+      (Stats.get (Sim.stats sim) "net.msg.batched" > 0);
+  (* The candidate maintainer is the DCDA's scan source and is
+     audited; a mismatch under faults is a label-maintenance bug.
+     Under crash/restart the revive hook must have rebuilt the labels
+     from the surviving tables — the stale-label resurrection
+     regression: a restarted process that kept pre-crash labels would
+     resurrect candidates for objects the crash already wiped. *)
   if detector = Config.Dcda then begin
     let stats = Sim.stats sim in
     Alcotest.(check bool) "candidate audits ran" true (Stats.get stats "dcda.candidates.audits" > 0);
@@ -191,27 +199,29 @@ let test_group_proxy_crash () =
   check Alcotest.bool "live ring intact" true (live_ring_intact cluster live)
 
 let suite =
-  (* Three detector columns: the DCDA under both candidate sources
-     (the incremental maintainer must stay exact through every fault
-     regime) and the backtracking baseline. *)
+  (* Three columns: the DCDA (whose candidate labels must stay exact
+     through every fault regime), the DCDA with its stub sets, CDMs and
+     deletions travelling in batched envelopes (a lost, duplicated or
+     reordered batch takes every message inside it along), and the
+     backtracking baseline. *)
   let columns =
     [
-      ("dcda", Config.Dcda, Config.Scan_candidates);
-      ("dcda+inc", Config.Dcda, Config.Incremental_candidates);
-      ("backtrack", Config.Backtrack, Config.Scan_candidates);
+      ("dcda", Config.Dcda, false);
+      ("dcda+batch", Config.Dcda, true);
+      ("backtrack", Config.Backtrack, false);
     ]
   in
   let cells =
     List.concat_map
       (fun (pname, profile) ->
         List.concat_map
-          (fun (cname, detector, candidates) ->
+          (fun (cname, detector, batching) ->
             List.map
               (fun seed ->
                 Alcotest.test_case
                   (Printf.sprintf "%s via %s, seed %d" pname cname seed)
                   `Slow
-                  (run_cell ~profile ~detector ~candidates ~seed))
+                  (run_cell ~profile ~detector ~batching ~seed))
               seeds)
           columns)
       Faults.profiles

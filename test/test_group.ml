@@ -52,10 +52,12 @@ let test_group_proxy_failover () =
    and batches DGC control traffic but must not change what gets
    reclaimed: the same workload run flat and grouped ends with
    byte-identical surviving object sets (timing differs — identity is
-   on the final sets after both runs converge).  Each cell runs once
-   with the default candidate source and once with incremental
-   candidates pinned, whose labels must track the same heaps however
-   the control traffic is routed. *)
+   on the final sets after both runs converge).  The DCDA cells also
+   show the candidate labels tracking the same heaps however the
+   control traffic is routed.  Each cell runs once unbatched and once
+   with sender-side DGC batching on in both legs: batched envelopes
+   reach the proxies already coalesced, and the relays must still
+   deliver every message inside them. *)
 
 let surviving cluster =
   let rt = Cluster.rt cluster in
@@ -67,11 +69,15 @@ let surviving cluster =
     rt.Adgc_rt.Runtime.procs;
   !acc
 
-let run_leg ?candidates ~seed ~detector ~groups () =
+let run_leg ~seed ~detector ~batching ~groups () =
   let n_procs = 8 in
   let config = Config.quick ~seed ~n_procs () in
-  let candidates = Option.value candidates ~default:config.Config.candidates in
-  let config = { config with Config.detector; candidates } in
+  let runtime =
+    if batching then
+      { config.Config.runtime with Runtime.dgc_batching = true; dgc_batch_window = 40 }
+    else config.Config.runtime
+  in
+  let config = { config with Config.detector; runtime } in
   let config = Config.with_groups config groups in
   let sim = Sim.create ~config () in
   let cluster = Sim.cluster sim in
@@ -86,10 +92,10 @@ let run_leg ?candidates ~seed ~detector ~groups () =
   Sim.teardown sim;
   (clean, s)
 
-let identity_cell ?candidates ~seed ~detector () =
+let identity_cell ~seed ~detector ~batching () =
   (* Group size 3 over 8 ranks: two full groups and a ragged tail. *)
-  let flat_clean, flat = run_leg ?candidates ~seed ~detector ~groups:0 () in
-  let grouped_clean, grouped = run_leg ?candidates ~seed ~detector ~groups:3 () in
+  let flat_clean, flat = run_leg ~seed ~detector ~batching ~groups:0 () in
+  let grouped_clean, grouped = run_leg ~seed ~detector ~batching ~groups:3 () in
   check Alcotest.bool "flat run converged" true flat_clean;
   check Alcotest.bool "grouped run converged" true grouped_clean;
   check Alcotest.int "same number of survivors" (Oid.Set.cardinal flat)
@@ -104,11 +110,12 @@ let identity_cases =
           [
             Alcotest.test_case
               (Printf.sprintf "flat == grouped: %s seed %d" dname seed)
-              `Slow (identity_cell ~seed ~detector);
-            Alcotest.test_case
-              (Printf.sprintf "flat == grouped: %s/incremental seed %d" dname seed)
               `Slow
-              (identity_cell ~candidates:Config.Incremental_candidates ~seed ~detector);
+              (identity_cell ~seed ~detector ~batching:false);
+            Alcotest.test_case
+              (Printf.sprintf "flat == grouped: %s/batched seed %d" dname seed)
+              `Slow
+              (identity_cell ~seed ~detector ~batching:true);
           ])
         [ ("dcda", Config.Dcda); ("backtrack", Config.Backtrack) ])
     [ 5; 19; 33 ]

@@ -209,10 +209,12 @@ let test_web_workload_site_decommission () =
         (Adgc_algebra.Oid.Set.mem (Topology.oid built (Printf.sprintf "s%d_p0" s)) live))
     [ 0; 2; 4 ]
 
-let test_incremental_snapshot_pipeline () =
-  (* The whole system running on incremental summaries. *)
+let test_naive_snapshot_pipeline () =
+  (* The whole system running on the reference (naive) summarizer:
+     every published summary the detector reads comes from one
+     breadth-first trace per scion target. *)
   let config = Config.quick ~n_procs:4 () in
-  let config = { config with Config.incremental_snapshots = true } in
+  let config = { config with Config.summarize = Adgc_snapshot.Summarize.Naive } in
   let sim = Sim.create ~config () in
   let checker = Metrics.install_safety_checker (Sim.cluster sim) in
   let _g = Topology.ring (Sim.cluster sim) ~procs:[ 0; 1; 2; 3 ] in
@@ -235,8 +237,8 @@ let test_random_scenarios_slow () =
 
 let test_stress_large_system () =
   (* One big run: 12 processes, a dense random graph, heavy churn,
-     moderate loss, two crashes, incremental snapshots — everything at
-     once, still safe, still complete among the survivors. *)
+     moderate loss, two crashes — everything at once, still safe,
+     still complete among the survivors. *)
   let config = Config.quick ~seed:99 ~n_procs:12 () in
   config.Config.net.Network.drop_prob <- 0.05;
   let runtime =
@@ -246,7 +248,7 @@ let test_stress_large_system () =
       holder_silence_limit = 15_000;
     }
   in
-  let config = { config with Config.runtime; Config.incremental_snapshots = true } in
+  let config = { config with Config.runtime } in
   let sim = Sim.create ~config () in
   let cluster = Sim.cluster sim in
   let checker = Metrics.install_safety_checker cluster in
@@ -288,7 +290,7 @@ let suite =
       Alcotest.test_case "extreme jitter and reordering" `Quick test_extreme_jitter_reordering;
       Alcotest.test_case "web workload: site decommission" `Quick
         test_web_workload_site_decommission;
-      Alcotest.test_case "incremental snapshot pipeline" `Quick test_incremental_snapshot_pipeline;
+      Alcotest.test_case "naive snapshot pipeline" `Quick test_naive_snapshot_pipeline;
       Alcotest.test_case "random scenarios (safety+completeness)" `Quick test_random_scenarios;
       Alcotest.test_case "random scenarios, second batch" `Slow test_random_scenarios_slow;
       Alcotest.test_case "stress: everything at once" `Slow test_stress_large_system;

@@ -1,6 +1,8 @@
 (* Configuration-matrix tests: the fig3 lifecycle must work under
    every combination of codec, summarizer and deletion mode — the
-   pieces are designed to be swappable, so prove it.  Plus decoder
+   pieces are designed to be swappable, so prove it.  The [net+batch]
+   row repeats the net codec with sender-side DGC batching on, so each
+   deletion mode's broadcast also travels coalesced.  Plus decoder
    fuzzing: no input may crash a codec (only Wire.Malformed). *)
 
 open Adgc_workload
@@ -16,12 +18,15 @@ let rotor = (module Adgc_serial.Rotor_codec : Adgc_serial.Codec.S)
 
 let net = (module Adgc_serial.Net_codec : Adgc_serial.Codec.S)
 
-let fig3_lifecycle ~codec ~summarize ~incremental ~deletion_mode () =
+let fig3_lifecycle ~codec ~batching ~summarize ~deletion_mode () =
   let policy = { Policy.aggressive with Policy.deletion_mode } in
   let config = Config.quick ~n_procs:4 () in
-  let config =
-    { config with Config.codec; summarize; incremental_snapshots = incremental; policy }
+  let runtime =
+    if batching then
+      { config.Config.runtime with Adgc_rt.Runtime.dgc_batching = true; dgc_batch_window = 40 }
+    else config.Config.runtime
   in
+  let config = { config with Config.codec; summarize; policy; runtime } in
   let sim = Sim.create ~config () in
   let cluster = Sim.cluster sim in
   let checker = Metrics.install_safety_checker cluster in
@@ -36,9 +41,9 @@ let fig3_lifecycle ~codec ~summarize ~incremental ~deletion_mode () =
 
 let matrix_cases =
   List.concat_map
-    (fun (codec_name, codec) ->
+    (fun (codec_name, codec, batching) ->
       List.concat_map
-        (fun (sum_name, summarize, incremental) ->
+        (fun (sum_name, summarize) ->
           List.map
             (fun mode ->
               let name =
@@ -46,14 +51,10 @@ let matrix_cases =
                   (Policy.deletion_mode_name mode)
               in
               Alcotest.test_case name `Quick
-                (fig3_lifecycle ~codec ~summarize ~incremental ~deletion_mode:mode))
+                (fig3_lifecycle ~codec ~batching ~summarize ~deletion_mode:mode))
             [ Policy.Arrival_only; Policy.All_local; Policy.Broadcast ])
-        [
-          ("naive", Summarize.Naive, false);
-          ("condensed", Summarize.Condensed, false);
-          ("incremental", Summarize.Condensed, true);
-        ])
-    [ ("net", net); ("rotor", rotor) ]
+        [ ("naive", Summarize.Naive); ("condensed", Summarize.Condensed) ])
+    [ ("net", net, false); ("rotor", rotor, false); ("net+batch", net, true) ]
 
 (* ------------------------------------------------------------------ *)
 (* Decoder fuzzing *)

@@ -24,13 +24,10 @@ let assert_clean ?caps (s : Scenario.t) =
         (String.concat ", "
            (List.map (fun a -> Format.asprintf "%a" Action.pp a) trail))
 
+(* Completeness of the whole scope PLUS the per-step audit invariant
+   (maintained candidate labels == full trace) in every reachable
+   state. *)
 let test_exhaustive_two_proc_cycle () = assert_clean Scenarios.two_proc_cycle
-
-(* The incremental-candidates scope: completeness of the whole scope
-   PLUS the per-step audit invariant (incremental labels == full
-   trace) in every reachable state — the property test wall's
-   exhaustive corner. *)
-let test_exhaustive_incremental () = assert_clean Scenarios.two_proc_cycle_incremental
 
 let test_exhaustive_ic_race () = assert_clean Scenarios.ic_race
 
@@ -59,23 +56,17 @@ let test_reclaim_verdict () =
   check Alcotest.int "no violations" 0 (List.length viols);
   check Alcotest.bool "cycle reclaimed" true (System.goal_reached sys)
 
-let test_incremental_reclaim_verdict () =
-  let sys, viols = run_exn Scenarios.two_proc_cycle_incremental Scenarios.reclaim_trail in
-  check Alcotest.int "no violations" 0 (List.length viols);
-  check Alcotest.bool "cycle reclaimed under incremental candidates" true
-    (System.goal_reached sys)
-
-(* Byte-identity at the mc level: the same trail drives the scan-mode
-   and incremental-mode systems to the same canonical state digest
-   (heaps, tables, summaries, in-flight messages). *)
-let test_incremental_fingerprint_parity () =
-  let fp scenario =
-    let sys, _ = run_exn scenario Scenarios.reclaim_trail in
-    System.fingerprint sys
+(* The audit invariant has teeth on the canonical scenario: with the
+   label maintainer deaf to heap events, P0's labels call the rooted
+   cycle member a candidate, so the stale-witness trail (whose first
+   snapshot precedes the unlink) trips the per-step audit. *)
+let test_deaf_labels_caught () =
+  let _, viols =
+    run_exn ~mutant:"drop_label_updates" ~caps:Scenarios.stale_witness_caps
+      Scenarios.two_proc_cycle Scenarios.stale_witness_trail
   in
-  check Alcotest.string "scan and incremental runs converge to the same state"
-    (fp Scenarios.two_proc_cycle)
-    (fp Scenarios.two_proc_cycle_incremental)
+  check Alcotest.bool "audit flags the divergence" true
+    (List.exists (fun v -> Astring_contains.contains v "candidate_audit") viols)
 
 let test_grouped_reclaim_verdict () =
   let sys, viols = run_exn Scenarios.grouped_cycle Scenarios.grouped_reclaim_trail in
@@ -190,20 +181,17 @@ let test_trace_rejects_junk () =
 (* ------------------------------------------------------------------ *)
 (* Swarm smoke: randomized walks over the clean build find nothing. *)
 
-let test_swarm_clean () =
-  match
-    Explore.swarm ~seeds:(List.init 16 (fun i -> 1000 + i)) ~steps:30 Scenarios.two_proc_cycle
-  with
+let swarm_clean scenario () =
+  match Explore.swarm ~seeds:(List.init 16 (fun i -> 1000 + i)) ~steps:30 scenario with
   | None -> ()
   | Some (seed, _, viols) ->
-      Alcotest.failf "swarm seed %d violated: %s" seed (String.concat "; " viols)
+      Alcotest.failf "%s: swarm seed %d violated: %s" scenario.Scenario.name seed
+        (String.concat "; " viols)
 
 let suite =
   ( "mc",
     [
       Alcotest.test_case "exhaustive: two_proc_cycle clean" `Slow test_exhaustive_two_proc_cycle;
-      Alcotest.test_case "exhaustive: two_proc_cycle_incremental clean" `Slow
-        test_exhaustive_incremental;
       Alcotest.test_case "exhaustive: ic_race clean" `Slow test_exhaustive_ic_race;
       Alcotest.test_case "exhaustive: external_holder clean" `Slow
         test_exhaustive_external_holder;
@@ -212,10 +200,7 @@ let suite =
       Alcotest.test_case "exhaustive: grouped_cycle clean" `Slow test_exhaustive_grouped_cycle;
       Alcotest.test_case "verdict: cycle reclaimed" `Quick test_reclaim_verdict;
       Alcotest.test_case "verdict: grouped cycle reclaimed" `Quick test_grouped_reclaim_verdict;
-      Alcotest.test_case "verdict: incremental candidates reclaim" `Quick
-        test_incremental_reclaim_verdict;
-      Alcotest.test_case "fingerprint parity: scan vs incremental" `Quick
-        test_incremental_fingerprint_parity;
+      Alcotest.test_case "verdict: deaf label maintainer caught" `Quick test_deaf_labels_caught;
       Alcotest.test_case "verdict: lost CDM retried" `Quick test_lost_cdm_verdict;
       Alcotest.test_case "verdict: stale snapshot superseded" `Quick
         test_stale_witness_unmutated_verdict;
@@ -229,5 +214,9 @@ let suite =
       Alcotest.test_case "trace json roundtrip" `Quick test_trace_json_roundtrip;
       Alcotest.test_case "trace file roundtrip" `Quick test_trace_file_roundtrip;
       Alcotest.test_case "trace rejects junk" `Quick test_trace_rejects_junk;
-      Alcotest.test_case "swarm finds nothing on the clean build" `Slow test_swarm_clean;
+      Alcotest.test_case "swarm finds nothing on the clean build" `Slow
+        (swarm_clean Scenarios.two_proc_cycle);
+      Alcotest.test_case "swarm finds nothing on ic_race" `Slow (swarm_clean Scenarios.ic_race);
+      Alcotest.test_case "swarm finds nothing on grouped_cycle" `Slow
+        (swarm_clean Scenarios.grouped_cycle);
     ] )

@@ -75,8 +75,8 @@ let run_in_memory scenario =
   Sim.teardown sim;
   (clean, states)
 
-let conformance_case ?(candidates = Config.Scan_candidates) topology seed detector () =
-  let scenario = Scenario.make ~topology ~procs:4 ~seed ~detector ~candidates () in
+let conformance_case topology seed detector () =
+  let scenario = Scenario.make ~topology ~procs:4 ~seed ~detector () in
   let expected = Scenario.expected scenario in
   (* In-memory driver. *)
   let mem_clean, mem_states = run_in_memory scenario in
@@ -115,19 +115,17 @@ let matrix topology =
 let suite =
   ( "net_conformance",
     matrix Scenario.Ring
+    (* One mixed live/garbage workload per detector so Live_reclaimed
+       has teeth (the ring is garbage wall-to-wall), and a star whose
+       hub every other rank's garbage runs through. *)
+    @ List.map
+        (fun detector ->
+          Alcotest.test_case
+            (Printf.sprintf "pairs seed=11 %s" (Scenario.detector_to_string detector))
+            `Slow
+            (conformance_case Scenario.Pairs 11 detector))
+        detectors
     @ [
-        (* One mixed live/garbage workload so Live_reclaimed has teeth
-           (the ring is garbage wall-to-wall). *)
-        Alcotest.test_case "pairs seed=11 dcda" `Slow
-          (conformance_case Scenario.Pairs 11 Config.Dcda);
-        (* Incremental candidates over sockets: the coordinator ships
-           --candidates incremental to every node; the socket run must
-           reclaim exactly what the in-memory incremental run does
-           (which itself must match the scan-derived expectation). *)
-        Alcotest.test_case "ring seed=11 dcda incremental" `Slow
-          (conformance_case ~candidates:Config.Incremental_candidates Scenario.Ring 11
-             Config.Dcda);
-        Alcotest.test_case "pairs seed=11 dcda incremental" `Slow
-          (conformance_case ~candidates:Config.Incremental_candidates Scenario.Pairs 11
-             Config.Dcda);
+        Alcotest.test_case "star seed=11 dcda" `Slow
+          (conformance_case Scenario.Star 11 Config.Dcda);
       ] )

@@ -14,11 +14,11 @@ let check = Alcotest.check
 
 let violations = Alcotest.list (Alcotest.testable Adgc_check.Invariant.pp ( = ))
 
-let kill_scenario ~candidates =
+let kill_scenario ?detector () =
   (* Pairs: each garbage cycle spans exactly one pair of ranks, so
      killing rank 2 floats only its own pair's cycle and the other
      pairs must still be reclaimed by the survivors. *)
-  Scenario.make ~topology:Scenario.Pairs ~procs:6 ~seed:7 ~candidates ()
+  Scenario.make ~topology:Scenario.Pairs ~procs:6 ~seed:7 ?detector ()
 
 let run_kill_node scenario () =
   let opts =
@@ -64,11 +64,11 @@ let suite =
   ( "net_fault",
     [
       Alcotest.test_case "kill -9 a node mid-run" `Slow
-        (run_kill_node (kill_scenario ~candidates:Adgc.Config.Scan_candidates));
-      (* Same kill under incremental candidates: survivors keep exact
-         labels (the per-node audit duty would flag drift) and reclaim
-         the same still-owed set. *)
-      Alcotest.test_case "kill -9 a node, incremental candidates" `Slow
-        (run_kill_node (kill_scenario ~candidates:Adgc.Config.Incremental_candidates));
+        (run_kill_node (kill_scenario ()));
+      (* The same kill under the backtracking baseline: its traces
+         towards the dead rank go unanswered, and the survivors must
+         still reclaim the pairs that never involved it. *)
+      Alcotest.test_case "kill -9 a node, backtracking baseline" `Slow
+        (run_kill_node (kill_scenario ~detector:Adgc.Config.Backtrack ()));
       Alcotest.test_case "dropped link reconnects and replays" `Slow test_drop_link_reconnects;
     ] )

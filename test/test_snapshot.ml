@@ -153,10 +153,10 @@ let test_naive_equals_condensed_random () =
   done
 
 let test_all_summarizers_agree_under_churn () =
-  (* Property: Naive, the dense Condensed and the Incremental
-     summarizer all produce equal summaries on randomized graphs
-     subjected to churn (allocation, linking, unlinking, RMIs) — the
-     parity that lets Condensed stay the default. *)
+  (* Property: Naive and the dense Condensed summarizer produce equal
+     summaries on randomized graphs subjected to churn (allocation,
+     linking, unlinking, RMIs) — the parity that lets Condensed stay
+     the default. *)
   List.iter
     (fun seed ->
       let rng = Adgc_util.Rng.create seed in
@@ -165,7 +165,6 @@ let test_all_summarizers_agree_under_churn () =
         Adgc_workload.Topology.random cluster ~rng ~objects:40 ~edges:80 ~remote_prob:0.3
           ~root_prob:0.2
       in
-      let states = Array.init 3 (fun _ -> Summarize.Incremental.create ()) in
       let churn =
         Adgc_workload.Churn.create ~cluster ~rng:(Adgc_util.Rng.create (seed * 13 + 1)) ()
       in
@@ -178,11 +177,8 @@ let test_all_summarizers_agree_under_churn () =
           let p = Cluster.proc cluster proc in
           let naive = Summarize.run ~algo:Summarize.Naive ~now:round p in
           let dense = Summarize.run ~algo:Summarize.Condensed ~now:round p in
-          let inc = Summarize.Incremental.run states.(proc) ~now:round p in
           if not (Summary.equal naive dense) then
-            Alcotest.failf "seed %d round %d proc %d: naive <> condensed" seed round proc;
-          if not (Summary.equal naive inc) then
-            Alcotest.failf "seed %d round %d proc %d: naive <> incremental" seed round proc
+            Alcotest.failf "seed %d round %d proc %d: naive <> condensed" seed round proc
         done
       done)
     [ 101; 202; 303 ]
@@ -376,79 +372,79 @@ let test_direct_decode_rejects_foreign_documents () =
   check Alcotest.bool "agrees on trailing byte" true (decoders_agree trailing)
 
 (* ------------------------------------------------------------------ *)
-(* Incremental summarization *)
+(* Condensed summarizer across mutations.  The condensed summarizer
+   runs on the heap's persistent dense index (resynchronised lazily,
+   compacted after heavy sweeping), so repeated runs on one heap must
+   track every edit, root change and compaction in between. *)
 
-let test_incremental_matches_full () =
-  let cluster, f, j, q = build_p2_like () in
-  ignore (f, q);
+let condensed_matches_naive label ~now p =
+  let cond = Summarize.run ~algo:Summarize.Condensed ~now p in
+  let naive = Summarize.run ~algo:Summarize.Naive ~now p in
+  if not (Summary.equal cond naive) then Alcotest.failf "%s: condensed diverged" label;
+  cond
+
+let test_condensed_tracks_edits () =
+  let cluster, _, j, _ = build_p2_like () in
   let p1 = Cluster.proc cluster 1 in
-  let state = Summarize.Incremental.create () in
-  let check_same label =
-    let inc = Summarize.Incremental.run state ~now:0 p1 in
-    let full = Summarize.run ~algo:Summarize.Naive ~now:0 p1 in
-    if not (Summary.equal inc full) then Alcotest.failf "%s: incremental diverged" label
-  in
-  check_same "initial";
-  check_same "no mutation";
-  (* Mutate inside the scion's region. *)
+  ignore (condensed_matches_naive "initial" ~now:0 p1 : Summary.t);
+  ignore (condensed_matches_naive "no mutation" ~now:1 p1 : Summary.t);
+  (* Grow the scion's region by a fresh object holding a second remote
+     reference, then cut it off again. *)
   let extra = Mutator.alloc cluster ~proc:1 () in
+  let far = Mutator.alloc cluster ~proc:2 () in
   Mutator.link cluster ~from_:j ~to_:extra;
-  check_same "after link";
-  ignore (Heap.remove_ref p1.Process.heap j extra.Heap.oid : bool);
-  check_same "after unlink"
+  Mutator.wire_remote cluster ~holder:extra ~target:far;
+  ignore (condensed_matches_naive "after link" ~now:2 p1 : Summary.t);
+  Mutator.unlink cluster ~from_:j ~to_:extra;
+  ignore (condensed_matches_naive "after unlink" ~now:3 p1 : Summary.t)
 
-let test_incremental_reuses_clean_regions () =
+let test_condensed_stable_when_unmutated () =
   let cluster, _, _, _ = build_p2_like () in
   let p1 = Cluster.proc cluster 1 in
-  let state = Summarize.Incremental.create () in
-  ignore (Summarize.Incremental.run state ~now:0 p1 : Summary.t);
-  check Alcotest.bool "first run traces" true (Summarize.Incremental.last_recomputed state >= 1);
-  ignore (Summarize.Incremental.run state ~now:1 p1 : Summary.t);
-  check Alcotest.int "second run re-traces nothing" 0
-    (Summarize.Incremental.last_recomputed state);
-  check Alcotest.bool "regions reused" true (Summarize.Incremental.last_reused state >= 2)
+  let heap = p1.Process.heap in
+  let first = Summarize.run ~algo:Summarize.Condensed ~now:0 p1 in
+  let mutations = Heap.mutations heap and rebuilds = Heap.dense_generation heap in
+  let second = Summarize.run ~algo:Summarize.Condensed ~now:0 p1 in
+  check Alcotest.bool "same summary" true (Summary.equal first second);
+  check Alcotest.int "summarizing does not mutate the heap" mutations (Heap.mutations heap);
+  check Alcotest.int "dense index reused, not rebuilt" rebuilds (Heap.dense_generation heap)
 
-let test_incremental_detects_root_change () =
+let test_condensed_sees_root_changes () =
   let cluster, f, _, _ = build_p2_like () in
   let p1 = Cluster.proc cluster 1 in
-  let state = Summarize.Incremental.create () in
-  ignore (Summarize.Incremental.run state ~now:0 p1 : Summary.t);
-  Heap.add_root p1.Process.heap f.Heap.oid;
-  let inc = Summarize.Incremental.run state ~now:1 p1 in
-  let full = Summarize.run ~algo:Summarize.Naive ~now:1 p1 in
-  check Alcotest.bool "sees the new root" true (Summary.equal inc full);
-  match Summary.find_scion inc (key 0 f.Heap.oid) with
-  | Some si -> check Alcotest.bool "now locally reachable" true si.Summary.target_locally_reachable
-  | None -> Alcotest.fail "scion missing"
+  let reachable label ~now =
+    let s = condensed_matches_naive label ~now p1 in
+    match Summary.find_scion s (key 0 f.Heap.oid) with
+    | Some si -> si.Summary.target_locally_reachable
+    | None -> Alcotest.failf "%s: scion missing" label
+  in
+  check Alcotest.bool "unrooted at first" false (reachable "initial" ~now:0);
+  Mutator.add_root cluster f;
+  check Alcotest.bool "sees the new root" true (reachable "rooted" ~now:1);
+  Mutator.remove_root cluster f;
+  check Alcotest.bool "sees the root go" false (reachable "unrooted" ~now:2)
 
-let test_incremental_random_equivalence () =
-  (* Interleave random mutations with incremental runs; every run must
-     equal a from-scratch summary. *)
-  let rng = Adgc_util.Rng.create 314 in
-  for _case = 1 to 10 do
-    let cluster = Cluster.create ~n:3 () in
-    let _built =
-      Adgc_workload.Topology.random cluster ~rng ~objects:30 ~edges:60 ~remote_prob:0.3
-        ~root_prob:0.2
-    in
-    let states = Array.init 3 (fun _ -> Summarize.Incremental.create ()) in
-    let churn =
-      Adgc_workload.Churn.create ~cluster ~rng:(Adgc_util.Rng.create (_case * 7)) ()
-    in
-    for round = 1 to 6 do
-      for _ = 1 to 10 do
-        Adgc_workload.Churn.step churn
-      done;
-      ignore (Cluster.drain cluster : int);
-      for proc = 0 to 2 do
-        let p = Cluster.proc cluster proc in
-        let inc = Summarize.Incremental.run states.(proc) ~now:round p in
-        let full = Summarize.run ~algo:Summarize.Naive ~now:round p in
-        if not (Summary.equal inc full) then
-          Alcotest.failf "case %d round %d proc %d: incremental diverged" _case round proc
-      done
-    done
-  done
+let test_condensed_across_compaction () =
+  (* Sweep most of a heap between two runs: the dense interner is
+     rebuilt with every id reassigned, and the next summary must still
+     equal the naive one. *)
+  let cluster = Cluster.create ~n:3 () in
+  let rng = Adgc_util.Rng.create 77 in
+  let _built =
+    Adgc_workload.Topology.random cluster ~rng ~objects:30 ~edges:60 ~remote_prob:0.3
+      ~root_prob:0.2
+  in
+  let p0 = Cluster.proc cluster 0 in
+  for _ = 1 to 200 do
+    ignore (Mutator.alloc cluster ~proc:0 () : Heap.obj)
+  done;
+  ignore (condensed_matches_naive "before the sweep" ~now:0 p0 : Summary.t);
+  let rebuilds = Heap.dense_generation p0.Process.heap in
+  let report = Adgc_rt.Lgc.run (Cluster.rt cluster) p0 in
+  check Alcotest.bool "the sweep reclaimed the litter" true (report.Adgc_rt.Lgc.swept >= 200);
+  ignore (condensed_matches_naive "after the sweep" ~now:1 p0 : Summary.t);
+  check Alcotest.bool "dense index was compacted" true
+    (Heap.dense_generation p0.Process.heap > rebuilds)
 
 (* ------------------------------------------------------------------ *)
 (* Snapshot store *)
@@ -528,12 +524,13 @@ let suite =
       test_direct_decode_agrees_on_damage;
       Alcotest.test_case "direct decode rejects foreign documents" `Quick
         test_direct_decode_rejects_foreign_documents;
-      Alcotest.test_case "incremental = full (known graph)" `Quick test_incremental_matches_full;
-      Alcotest.test_case "incremental reuses clean regions" `Quick
-        test_incremental_reuses_clean_regions;
-      Alcotest.test_case "incremental sees root changes" `Quick test_incremental_detects_root_change;
-      Alcotest.test_case "incremental = full (random churn)" `Quick
-        test_incremental_random_equivalence;
+      Alcotest.test_case "condensed = naive across edits (known graph)" `Quick
+        test_condensed_tracks_edits;
+      Alcotest.test_case "condensed reuses the dense index when unmutated" `Quick
+        test_condensed_stable_when_unmutated;
+      Alcotest.test_case "condensed sees root changes" `Quick test_condensed_sees_root_changes;
+      Alcotest.test_case "condensed = naive across a compaction" `Quick
+        test_condensed_across_compaction;
       Alcotest.test_case "store: codec roundtrip publish" `Quick test_store_roundtrips_through_codec;
       Alcotest.test_case "store: take_all" `Quick test_store_take_all;
       Alcotest.test_case "store: rotor codec" `Quick test_store_with_rotor_codec;
