@@ -175,8 +175,9 @@ let conclude_initiator t ~trace ~root verdict =
   if garbage then begin
     Stats.incr t.rt.Runtime.stats "bt.cycles_found";
     ignore (Scion_table.delete ~tombstone:true t.proc.Process.scions root : bool);
-    Runtime.log t.rt ~topic:"bt" "%a: back-trace proved %a garbage" Proc_id.pp (proc_id t)
-      Ref_key.pp root
+    let at = proc_id t in
+    Runtime.log t.rt ~topic:"bt" (fun ppf ->
+        Format.fprintf ppf "%a: back-trace proved %a garbage" Proc_id.pp at Ref_key.pp root)
   end
   else Stats.incr t.rt.Runtime.stats "bt.rooted"
 

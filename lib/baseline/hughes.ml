@@ -128,8 +128,10 @@ let handle t (inst : instance) ~src payload =
           Ref_key.Tbl.remove inst.stamps key;
           if Scion_table.delete ~tombstone:true inst.proc.Process.scions key then begin
             Stats.incr t.rt.Runtime.stats "hughes.scions_deleted";
-            Runtime.log t.rt ~topic:"hughes" "%a: scion %a below threshold %d, deleted"
-              Proc_id.pp inst.proc.Process.id Ref_key.pp key value
+            let at = inst.proc.Process.id in
+            Runtime.log t.rt ~topic:"hughes" (fun ppf ->
+                Format.fprintf ppf "%a: scion %a below threshold %d, deleted" Proc_id.pp at
+                  Ref_key.pp key value)
           end)
         doomed
 

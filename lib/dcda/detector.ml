@@ -49,8 +49,9 @@ let abort t id reason =
   Stats.incr t.rt.Runtime.stats ("dcda.abort." ^ reason);
   Lineage.record t.rt.Runtime.lineage id
     (Lineage.Guard { at = proc_id t; time = Runtime.now t.rt; reason });
-  Runtime.log t.rt ~topic:"dcda" "%a: %a aborted (%s)" Proc_id.pp (proc_id t) Detection_id.pp id
-    reason
+  let at = proc_id t in
+  Runtime.log t.rt ~topic:"dcda" (fun ppf ->
+      Format.fprintf ppf "%a: %a aborted (%s)" Proc_id.pp at Detection_id.pp id reason)
 
 (* Delete proven scions at the concluding process per policy, and
    broadcast the remaining ones when configured. *)
@@ -67,11 +68,12 @@ let conclude t ~(id : Detection_id.t) ~algebra ~(arrival : Ref_key.t) ~hops =
   let deleted_here =
     List.filter (fun key -> Scion_table.delete ~tombstone:true t.proc.Process.scions key) to_delete
   in
+  let at = proc_id t in
   List.iter
     (fun key ->
       Stats.incr t.rt.Runtime.stats "dcda.scions_deleted";
-      Runtime.log t.rt ~topic:"dcda" "%a: proven-cycle scion %a deleted" Proc_id.pp (proc_id t)
-        Ref_key.pp key)
+      Runtime.log t.rt ~topic:"dcda" (fun ppf ->
+          Format.fprintf ppf "%a: proven-cycle scion %a deleted" Proc_id.pp at Ref_key.pp key))
     deleted_here;
   (match t.policy.Policy.deletion_mode with
   | Policy.Broadcast ->
@@ -122,8 +124,10 @@ let conclude t ~(id : Detection_id.t) ~algebra ~(arrival : Ref_key.t) ~hops =
     }
   in
   t.reports <- report :: t.reports;
-  Runtime.log t.rt ~topic:"dcda" "%a: CYCLE FOUND %a (%d refs, %d hops)" Proc_id.pp (proc_id t)
-    Detection_id.pp id (List.length proven) hops
+  let at = proc_id t and refs = List.length proven in
+  Runtime.log t.rt ~topic:"dcda" (fun ppf ->
+      Format.fprintf ppf "%a: CYCLE FOUND %a (%d refs, %d hops)" Proc_id.pp at Detection_id.pp id
+        refs hops)
 
 (* Fan the detection out from an arrival scion: one CDM derivation per
    followable stub in StubsFrom.  [delivered] is the algebra as it
@@ -395,8 +399,10 @@ let initiate t key =
               in
               Lineage.set_span lineage id span
             end;
-            Runtime.log t.rt ~topic:"dcda" "%a: detection %a starts from candidate %a" Proc_id.pp
-              (proc_id t) Detection_id.pp id Ref_key.pp key;
+            let at = proc_id t in
+            Runtime.log t.rt ~topic:"dcda" (fun ppf ->
+                Format.fprintf ppf "%a: detection %a starts from candidate %a" Proc_id.pp at
+                  Detection_id.pp id Ref_key.pp key);
             let alg = Algebra.add_exn Algebra.empty Algebra.Source key ~ic:si.Summary.scion_ic in
             proceed_from t ~id ~delivered:alg ~si ~hops:0
               ~budget:t.policy.Policy.cdm_budget;
@@ -473,10 +479,12 @@ let audit_candidates t =
   match Candidates.audit t.candidates with
   | None -> true
   | Some (only_inc, only_scan) ->
-      Runtime.log t.rt ~topic:"dcda" "%a: candidate audit MISMATCH (+%d incremental, +%d scan)"
-        Proc_id.pp (proc_id t)
-        (Ref_key.Set.cardinal only_inc)
-        (Ref_key.Set.cardinal only_scan);
+      let at = proc_id t
+      and inc = Ref_key.Set.cardinal only_inc
+      and scan = Ref_key.Set.cardinal only_scan in
+      Runtime.log t.rt ~topic:"dcda" (fun ppf ->
+          Format.fprintf ppf "%a: candidate audit MISMATCH (+%d incremental, +%d scan)" Proc_id.pp
+            at inc scan);
       false
 
 let attach rt proc ~policy =

@@ -26,7 +26,8 @@ let crash_proc rt i =
   if p.Process.alive then begin
     p.Process.alive <- false;
     Stats.incr rt.Runtime.stats "cluster.crashes";
-    Runtime.log rt ~topic:"cluster" "%a crashed" Proc_id.pp p.Process.id
+    let id = p.Process.id in
+    Runtime.log rt ~topic:"cluster" (fun ppf -> Format.fprintf ppf "%a crashed" Proc_id.pp id)
   end
 
 let restart_proc rt i =
@@ -50,7 +51,8 @@ let restart_proc rt i =
        candidate maintainer) rebuild from the revived state; the crash
        may have interrupted them mid-update. *)
     List.iter (fun hook -> hook ()) p.Process.on_revive;
-    Runtime.log rt ~topic:"cluster" "%a restarted" Proc_id.pp p.Process.id
+    let id = p.Process.id in
+    Runtime.log rt ~topic:"cluster" (fun ppf -> Format.fprintf ppf "%a restarted" Proc_id.pp id)
   end
 
 let create ?(seed = 42) ?config ?net_config ?(faults = Faults.none) ?trace_capacity

@@ -271,7 +271,13 @@ let sync_tracer t =
     let rebuilt = Interner.size tr.ids > (2 * live) + 64 in
     if rebuilt then begin
       tr.ids <- Interner.create ~capacity:(2 * live) ();
-      tr.rebuilds <- tr.rebuilds + 1
+      tr.rebuilds <- tr.rebuilds + 1;
+      (* The old ids are void.  A slot past the new population must not
+         keep an object from before: the adjacency rebuild below, and
+         later [add_ref]s outside a sync, intern dangling targets into
+         exactly those slots, and a stale [Some] there would hand the
+         tracer (and [iter_dense]) a second id for that object. *)
+      Array.fill tr.slots 0 (Array.length tr.slots) None
     end;
     Oid.Tbl.iter (fun oid _ -> ignore (Interner.intern tr.ids oid : int)) t.objs;
     let n = Interner.size tr.ids in

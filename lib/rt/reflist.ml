@@ -126,9 +126,11 @@ let reap_dead_holders rt (p : Process.t) =
       (fun holder ->
         let deleted = Scion_table.delete_from p.Process.scions holder in
         if deleted <> [] then begin
-          Stats.add rt.Runtime.stats "reflist.scions_reaped" (List.length deleted);
-          Runtime.log rt ~topic:"reflist" "%a declared %a dead, %d scions reaped" Proc_id.pp
-            p.Process.id Proc_id.pp holder (List.length deleted)
+          let at = p.Process.id and reaped = List.length deleted in
+          Stats.add rt.Runtime.stats "reflist.scions_reaped" reaped;
+          Runtime.log rt ~topic:"reflist" (fun ppf ->
+              Format.fprintf ppf "%a declared %a dead, %d scions reaped" Proc_id.pp at Proc_id.pp
+                holder reaped)
         end)
       (Scion_table.idle_sources p.Process.scions ~now:(Runtime.now rt)
          ~threshold:rt.Runtime.config.holder_silence_limit)
@@ -147,12 +149,13 @@ let handle_new_set rt ~(at : Process.t) ~src ~seqno ~targets =
   in
   if result.Scion_table.stale then Stats.incr rt.Runtime.stats "reflist.sets_stale"
   else begin
+    let deleted = result.Scion_table.deleted and id = at.Process.id in
+    if deleted <> [] then Stats.add rt.Runtime.stats "dgc.scions.deleted" (List.length deleted);
     List.iter
       (fun key ->
-        Stats.incr rt.Runtime.stats "dgc.scions.deleted";
-        Runtime.log rt ~topic:"reflist" "scion deleted %a at %a" Ref_key.pp key Proc_id.pp
-          at.Process.id)
-      result.Scion_table.deleted;
+        Runtime.log rt ~topic:"reflist" (fun ppf ->
+            Format.fprintf ppf "scion deleted %a at %a" Ref_key.pp key Proc_id.pp id))
+      deleted;
     (* Healing: the holder advertises an object we have no scion for
        (export notice lost).  Recreate the scion if the object is
        still with us; it arrives already confirmed since the holder

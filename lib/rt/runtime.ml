@@ -76,7 +76,7 @@ let proc_count t = Array.length t.procs
 
 let now t = Scheduler.now t.sched
 
-let log t ~topic fmt = Adgc_util.Trace.addf t.trace ~time:(now t) ~topic fmt
+let log t ~topic render = Adgc_util.Trace.record t.trace ~time:(now t) ~topic render
 
 (* ------------------------------------------------------------------ *)
 (* Group overlay.  [config.group_size > 1] partitions the rank space

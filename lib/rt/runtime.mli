@@ -139,8 +139,11 @@ val proc_count : t -> int
 
 val now : t -> int
 
-val log : t -> topic:string -> ('a, Format.formatter, unit, unit) format4 -> 'a
-(** Append to the trace buffer, stamped with simulated time. *)
+val log : t -> topic:string -> (Format.formatter -> unit) -> unit
+(** Append to the trace buffer, stamped with simulated time.  The
+    renderer runs only when the trace is read, so it must capture
+    immutable values alone (ids, oids, keys, ints, strings), never a
+    {!Process.t} or other mutable state (see {!Adgc_util.Trace}). *)
 
 val send : t -> src:Proc_id.t -> dst:Proc_id.t -> Msg.payload -> unit
 

@@ -74,12 +74,15 @@ let commit t pr =
         : int)
   end;
   Hashtbl.replace t.store (Proc_id.to_int p.Process.id) (published, encoded);
-  (* The log arguments are evaluated even when the log is off, and
-     [counts] is O(n): compute them only when the trace buffer is on. *)
+  (* [counts] is O(n) and must run now (the renderer may not keep the
+     summary), so compute it only when the trace buffer is on. *)
   if Adgc_util.Trace.enabled t.rt.Runtime.trace then begin
-    let scions, stubs = Summary.counts published in
-    Runtime.log t.rt ~topic:"snapshot" "%a summarized: %d scions, %d stubs, %d bytes" Proc_id.pp
-      p.Process.id scions stubs (String.length encoded)
+    let scions, stubs = Summary.counts published
+    and at = p.Process.id
+    and bytes = String.length encoded in
+    Runtime.log t.rt ~topic:"snapshot" (fun ppf ->
+        Format.fprintf ppf "%a summarized: %d scions, %d stubs, %d bytes" Proc_id.pp at scions
+          stubs bytes)
   end;
   List.iter (fun f -> f published) t.subscribers;
   published

@@ -4,6 +4,7 @@ let () =
   Alcotest.run "adgc"
     [
       Test_util.suite;
+      Test_trace_sites.suite;
       Test_obs.suite;
       Test_serial.suite;
       Test_algebra.suite;

@@ -106,6 +106,34 @@ let test_heap_trace_from_absent () =
   let { Heap.local; _ } = Heap.trace h ~from:[ oid 0 99 ] in
   check Alcotest.int "nothing" 0 (Oid.Set.cardinal local)
 
+(* A compaction leaves no object behind in the slots past the new
+   population: a dangling local reference interned there (by the
+   adjacency rebuild, or by a later [add_ref]) must stay dead rather
+   than alias an object that lived in that slot before. *)
+let test_heap_compaction_clears_stale_slots () =
+  let h = Heap.create ~owner:p0 in
+  let keep = List.init 4 (fun _ -> Heap.alloc h) in
+  let burst = List.init 200 (fun _ -> Heap.alloc h) in
+  ignore (Heap.dense_sync h : int);
+  let holder = List.hd keep in
+  ignore (Heap.add_ref h holder (oid 0 5_000) : int);
+  List.iter (fun (o : Heap.obj) -> Heap.remove h o.Heap.oid) burst;
+  let generation = Heap.dense_generation h in
+  ignore (Heap.dense_sync h : int);
+  check Alcotest.bool "compacted" true (Heap.dense_generation h > generation);
+  ignore (Heap.add_ref h holder (oid 0 5_001) : int);
+  let seen = ref [] in
+  Heap.iter_dense h (fun _ (o : Heap.obj) -> seen := o.Heap.oid :: !seen);
+  check Alcotest.int "each live object once" 4 (List.length !seen);
+  check Alcotest.int "distinct" 4 (Oid.Set.cardinal (Oid.Set.of_list !seen));
+  check Alcotest.bool "dangling has no id" true (Heap.dense_id h (oid 0 5_000) = None);
+  check Alcotest.bool "late dangling has no id" true (Heap.dense_id h (oid 0 5_001) = None);
+  let reached = ref 0 in
+  Heap.trace_dense h ~from:[ holder.Heap.oid ]
+    ~visit_local:(fun _ -> incr reached)
+    ~visit_remote:(fun _ -> ());
+  check Alcotest.int "dangling refs reach nothing" 1 !reached
+
 (* ------------------------------------------------------------------ *)
 (* Scheduler *)
 
@@ -497,6 +525,8 @@ let suite =
       Alcotest.test_case "heap: remote frontier" `Quick test_heap_trace_remote_frontier;
       Alcotest.test_case "heap: dangling ignored" `Quick test_heap_trace_dangling_local;
       Alcotest.test_case "heap: trace from absent" `Quick test_heap_trace_from_absent;
+      Alcotest.test_case "heap: compaction clears stale slots" `Quick
+        test_heap_compaction_clears_stale_slots;
       Alcotest.test_case "sched: ordering" `Quick test_sched_ordering;
       Alcotest.test_case "sched: same-time FIFO" `Quick test_sched_same_time_fifo;
       Alcotest.test_case "sched: run_until" `Quick test_sched_run_until;

@@ -89,6 +89,133 @@ let test_lgc_pre_sweep_hook () =
   check Alcotest.int "hook saw the doomed object" 1 (List.length !seen);
   check Alcotest.bool "right oid" true (Oid.equal (List.hd !seen) a.Heap.oid)
 
+(* The dense LGC plan against the [Oid.Set] derivation.  One twin
+   drives P0's heap through a seeded script of allocations, local and
+   remote links, dangling local references, roots, scions, stub pins
+   and fresh-flag clears, with an LGC run every few steps; each run's
+   sweep and stub split are checked against [Heap.trace].  Halfway
+   through, a burst of short-lived objects is allocated and removed.
+   With [oracle_syncs] the twin forces a dense resync after every step,
+   as the global safety oracle does, so the burst is interned and the
+   next resync compacts the interner; without, it never is.  Both
+   twins must sweep the same objects in the same order. *)
+let lgc_plan_twin ~seed ~oracle_syncs =
+  let cluster = mk ~n:2 ~seed () in
+  let rt = Cluster.rt cluster in
+  let p0 = Cluster.proc cluster 0 in
+  let heap = p0.Process.heap and stubs = p0.Process.stubs and scions = p0.Process.scions in
+  let rng = Adgc_util.Rng.create seed in
+  let sync () = if oracle_syncs then ignore (Heap.dense_sync heap : int) in
+  let remote_of () =
+    let o = Mutator.alloc cluster ~proc:1 () in
+    Mutator.add_root cluster o;
+    o
+  in
+  let remotes = Array.init 4 (fun _ -> remote_of ()) in
+  let holders = Array.init 2 (fun _ -> remote_of ()) in
+  let locals = ref [] in
+  let alloc () =
+    let o = Mutator.alloc cluster ~proc:0 () in
+    locals := o :: !locals;
+    o
+  in
+  let pick () =
+    locals := List.filter (fun (o : Heap.obj) -> Heap.mem heap o.Heap.oid) !locals;
+    if !locals = [] then alloc () else Adgc_util.Rng.pick_list rng !locals
+  in
+  let step () =
+    (match Adgc_util.Rng.int rng 11 with
+    | 0 -> ignore (alloc () : Heap.obj)
+    | 1 | 2 -> Mutator.link cluster ~from_:(pick ()) ~to_:(pick ())
+    | 3 -> Mutator.unlink cluster ~from_:(pick ()) ~to_:(pick ())
+    | 4 -> Mutator.wire_remote cluster ~holder:(pick ()) ~target:(Adgc_util.Rng.pick rng remotes)
+    | 5 -> Mutator.wire_remote cluster ~holder:(Adgc_util.Rng.pick rng holders) ~target:(pick ())
+    | 6 -> (
+        match Scion_table.entries scions with
+        | [] -> ()
+        | es ->
+            let key = (Adgc_util.Rng.pick_list rng es).Scion_table.key in
+            ignore (Scion_table.delete scions key : bool))
+    | 7 -> Mutator.add_root cluster (pick ())
+    | 8 -> Mutator.remove_root cluster (pick ())
+    | 9 ->
+        let target = (Adgc_util.Rng.pick rng remotes).Heap.oid in
+        if Adgc_util.Rng.bool rng then Stub_table.pin stubs ~now:0 target
+        else Stub_table.unpin stubs target
+    | _ ->
+        let dangling = Oid.make ~owner:p0.Process.id ~serial:(100_000 + Adgc_util.Rng.int rng 8) in
+        ignore (Heap.add_ref heap (pick ()) dangling : int));
+    sync ()
+  in
+  let failure = ref None in
+  let fail fmt = Format.kasprintf (fun m -> if !failure = None then failure := Some m) fmt in
+  let runs = ref [] in
+  let pp_oids = Format.pp_print_list ~pp_sep:Format.pp_print_space Oid.pp in
+  let lgc () =
+    if Adgc_util.Rng.bool rng then Stub_table.clear_fresh stubs;
+    let from = Heap.roots heap @ Scion_table.protected_targets scions in
+    let { Heap.local; remote } = Heap.trace heap ~from in
+    let expect_doomed =
+      Heap.fold heap ~init:[] ~f:(fun acc (o : Heap.obj) ->
+          if Oid.Set.mem o.Heap.oid local then acc else o.Heap.oid :: acc)
+      |> List.sort Oid.compare
+    in
+    let kept, dropped =
+      List.partition
+        (fun (e : Stub_table.entry) ->
+          Oid.Set.mem e.Stub_table.target remote || e.Stub_table.fresh || e.Stub_table.pins > 0)
+        (Stub_table.entries stubs)
+    in
+    let swept = ref [] in
+    rt.Runtime.on_reclaim <- Some (fun _ oid -> swept := oid :: !swept);
+    let report = Lgc.run rt p0 in
+    let swept = List.rev !swept in
+    let targets = List.map (fun (e : Stub_table.entry) -> e.Stub_table.target) in
+    if not (List.equal Oid.equal swept expect_doomed) then
+      fail "run %d: swept [%a], the Oid.Set trace dooms [%a]" (List.length !runs) pp_oids swept
+        pp_oids expect_doomed;
+    if not (List.equal Oid.equal (targets (Stub_table.entries stubs)) (targets kept)) then
+      fail "run %d: surviving stubs differ" (List.length !runs);
+    if report.Lgc.stubs_dropped <> List.length dropped then
+      fail "run %d: dropped %d stubs, expected %d" (List.length !runs) report.Lgc.stubs_dropped
+        (List.length dropped);
+    runs := swept :: !runs;
+    sync ()
+  in
+  for _ = 1 to 12 do
+    ignore (alloc () : Heap.obj)
+  done;
+  for round = 1 to 8 do
+    if round = 4 then begin
+      let burst = List.init 300 (fun _ -> Heap.alloc heap) in
+      sync ();
+      List.iter (fun (o : Heap.obj) -> Heap.remove heap o.Heap.oid) burst
+    end;
+    for _ = 1 to 4 + Adgc_util.Rng.int rng 12 do
+      step ()
+    done;
+    lgc ()
+  done;
+  (!failure, List.rev !runs, Heap.dense_generation heap)
+
+let prop_lgc_plan_dense_parity =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"lgc: dense plan = Oid.Set derivation, across compaction" ~count:200
+       QCheck2.Gen.(int_range 1 1_000_000)
+       (fun seed ->
+         let fail_a, runs_a, gen_a = lgc_plan_twin ~seed ~oracle_syncs:true in
+         let fail_b, runs_b, gen_b = lgc_plan_twin ~seed ~oracle_syncs:false in
+         (match (fail_a, fail_b) with
+         | Some m, _ -> QCheck2.Test.fail_reportf "with oracle syncs: %s" m
+         | None, Some m -> QCheck2.Test.fail_reportf "without oracle syncs: %s" m
+         | None, None -> ());
+         if gen_a <= gen_b then
+           QCheck2.Test.fail_reportf "the burst did not compact the interner (%d vs %d)" gen_a
+             gen_b;
+         if not (List.equal (List.equal Oid.equal) runs_a runs_b) then
+           QCheck2.Test.fail_reportf "the sweep order depends on when the interner compacted";
+         List.exists (fun run -> run <> []) runs_a))
+
 (* ------------------------------------------------------------------ *)
 (* Acyclic distributed GC: end-to-end chains *)
 
@@ -759,6 +886,7 @@ let suite =
       Alcotest.test_case "lgc: local cycle collected" `Quick test_lgc_local_cycle_collected;
       Alcotest.test_case "lgc: drops dead stubs" `Quick test_lgc_drops_dead_stubs;
       Alcotest.test_case "lgc: pre-sweep hook" `Quick test_lgc_pre_sweep_hook;
+      prop_lgc_plan_dense_parity;
       Alcotest.test_case "acyclic: chain reclaimed" `Quick test_acyclic_chain_reclaimed;
       Alcotest.test_case "acyclic: distributed cycle leaks" `Quick
         test_acyclic_distributed_cycle_not_reclaimed;

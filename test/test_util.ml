@@ -211,11 +211,27 @@ let test_trace_bounded () =
   check (Alcotest.list Alcotest.string) "keeps newest" [ "7"; "8"; "9"; "10" ] texts;
   check Alcotest.int "dropped count" 6 (Trace.dropped t)
 
+(* Past its first small allocation the ring doubles up to capacity,
+   keeping order across each growth and across the wrap at capacity. *)
+let test_trace_grows () =
+  let t = Trace.create ~capacity:200 () in
+  let texts () = List.map (fun (e : Trace.event) -> e.Trace.text) (Trace.events t) in
+  let upto a b = List.init (b - a + 1) (fun i -> string_of_int (a + i)) in
+  for i = 1 to 150 do
+    Trace.add t ~time:i ~topic:"t" (string_of_int i)
+  done;
+  check (Alcotest.list Alcotest.string) "all kept while growing" (upto 1 150) (texts ());
+  for i = 151 to 450 do
+    Trace.add t ~time:i ~topic:"t" (string_of_int i)
+  done;
+  check (Alcotest.list Alcotest.string) "newest 200 after the wrap" (upto 251 450) (texts ());
+  check Alcotest.int "dropped" 250 (Trace.dropped t)
+
 let test_trace_disable () =
   let t = Trace.create () in
   Trace.set_enabled t false;
   Trace.add t ~time:1 ~topic:"x" "hidden";
-  Trace.addf t ~time:2 ~topic:"x" "also %s" "hidden";
+  Trace.record t ~time:2 ~topic:"x" (fun ppf -> Format.fprintf ppf "also %s" "hidden");
   check Alcotest.int "nothing recorded" 0 (List.length (Trace.events t))
 
 let test_trace_clear () =
@@ -224,11 +240,18 @@ let test_trace_clear () =
   Trace.clear t;
   check Alcotest.int "cleared" 0 (List.length (Trace.events t))
 
-let test_trace_addf () =
+(* Recording runs no formatting: the renderer is called once per
+   read of the event, never at record time. *)
+let test_trace_record () =
   let t = Trace.create () in
-  Trace.addf t ~time:5 ~topic:"fmt" "%d-%s" 12 "ab";
+  let renders = ref 0 in
+  Trace.record t ~time:5 ~topic:"fmt" (fun ppf ->
+      incr renders;
+      Format.fprintf ppf "%d-%s" 12 "ab");
+  check Alcotest.int "not rendered when recorded" 0 !renders;
   match Trace.events t with
   | [ e ] ->
+      check Alcotest.int "rendered on read" 1 !renders;
       check Alcotest.string "formatted" "12-ab" e.Trace.text;
       check Alcotest.int "time" 5 e.Trace.time
   | _ -> Alcotest.fail "expected one event"
@@ -287,13 +310,38 @@ let test_stats_merge () =
   check Alcotest.int "merged counter" 3 (Stats.get b "c");
   check Alcotest.int "merged series" 2 (Stats.count b "s")
 
-let test_trace_disabled_addf_lazy () =
-  (* A disabled trace must not even render the message: %t would call
-     the closure during formatting. *)
+let test_trace_disabled_record_lazy () =
+  (* A disabled trace must never call the renderer. *)
   let t = Trace.create () in
   Trace.set_enabled t false;
-  Trace.addf t ~time:1 ~topic:"x" "%t" (fun _ -> Alcotest.fail "rendered while disabled");
+  Trace.record t ~time:1 ~topic:"x" (fun _ -> Alcotest.fail "rendered while disabled");
   check Alcotest.int "nothing recorded" 0 (List.length (Trace.events t))
+
+(* The ring keeps the newest [capacity] events in order; the events it
+   drops are never rendered, and [clear] forgets the drop count too. *)
+let test_trace_ring_lazy () =
+  let t = Trace.create ~capacity:4 () in
+  let renders = ref 0 in
+  for i = 1 to 10 do
+    Trace.record t ~time:i ~topic:(if i mod 2 = 0 then "even" else "odd") (fun ppf ->
+        incr renders;
+        Format.pp_print_int ppf i)
+  done;
+  check Alcotest.int "dropped count" 6 (Trace.dropped t);
+  let texts = List.map (fun (e : Trace.event) -> e.Trace.text) (Trace.events t) in
+  check (Alcotest.list Alcotest.string) "keeps newest" [ "7"; "8"; "9"; "10" ] texts;
+  check Alcotest.int "only the kept events rendered" 4 !renders;
+  check (Alcotest.list Alcotest.int) "by_topic renders only its topic" [ 8; 10 ]
+    (List.map (fun (e : Trace.event) -> e.Trace.time) (Trace.by_topic t "even"));
+  check Alcotest.int "two more renders" 6 !renders;
+  check Alcotest.string "pp_event" "[     8] even       8"
+    (Format.asprintf "%a" Trace.pp_event (List.hd (Trace.by_topic t "even")));
+  Trace.clear t;
+  check Alcotest.int "cleared" 0 (List.length (Trace.events t));
+  check Alcotest.int "drop count reset" 0 (Trace.dropped t);
+  Trace.add t ~time:11 ~topic:"x" "after";
+  check (Alcotest.list Alcotest.string) "records after clear" [ "after" ]
+    (List.map (fun (e : Trace.event) -> e.Trace.text) (Trace.events t))
 
 let test_stats_percentile_edges () =
   let s = Stats.create () in
@@ -555,16 +603,19 @@ let suite =
       Alcotest.test_case "trace: order" `Quick test_trace_order;
       Alcotest.test_case "trace: by topic" `Quick test_trace_by_topic;
       Alcotest.test_case "trace: bounded ring" `Quick test_trace_bounded;
+      Alcotest.test_case "trace: ring grows to capacity" `Quick test_trace_grows;
       Alcotest.test_case "trace: disabled" `Quick test_trace_disable;
       Alcotest.test_case "trace: clear" `Quick test_trace_clear;
-      Alcotest.test_case "trace: addf" `Quick test_trace_addf;
+      Alcotest.test_case "trace: record renders on read" `Quick test_trace_record;
+      Alcotest.test_case "trace: bounded ring renders lazily" `Quick test_trace_ring_lazy;
       Alcotest.test_case "stats: counters" `Quick test_stats_counters;
       Alcotest.test_case "stats: sorted names" `Quick test_stats_counters_sorted;
       Alcotest.test_case "stats: series" `Quick test_stats_series;
       Alcotest.test_case "stats: percentile" `Quick test_stats_percentile;
       Alcotest.test_case "stats: empty series" `Quick test_stats_empty_series;
       Alcotest.test_case "stats: merge" `Quick test_stats_merge;
-      Alcotest.test_case "trace: disabled addf never renders" `Quick test_trace_disabled_addf_lazy;
+      Alcotest.test_case "trace: disabled record never renders" `Quick
+        test_trace_disabled_record_lazy;
       Alcotest.test_case "stats: percentile edges" `Quick test_stats_percentile_edges;
       Alcotest.test_case "stats: labelled counters" `Quick test_stats_labelled;
       Alcotest.test_case "stats: histograms" `Quick test_stats_histogram;
